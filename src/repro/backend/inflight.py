@@ -22,18 +22,17 @@ class InFlightUop:
         "seq", "pc", "inst",
         # Rename.
         "dest_arch", "dest_phys", "old_phys", "src1_phys", "src2_phys",
-        "waiting", "in_rs",
+        "waiting",
         # Status.
-        "issued", "completed", "squashed", "deferred",
+        "issued", "completed", "squashed",
         # Results.
         "value", "poisoned",
         # Memory.
         "mem_addr", "store_data", "addr_known", "data_known", "level",
         "done_cycle",
-        "merged", "forwarded", "miss_issue_retired",
+        "merged", "miss_issue_retired",
         # Branches.
-        "predicted_next_pc", "predicted_taken", "snapshot",
-        "actual_next_pc", "taken", "mispredicted",
+        "predicted_next_pc", "snapshot", "actual_next_pc", "taken",
         # Provenance.
         "runahead", "from_rab", "producer_seqs",
     )
@@ -48,11 +47,9 @@ class InFlightUop:
         self.src1_phys: Optional[int] = None
         self.src2_phys: Optional[int] = None
         self.waiting = 0
-        self.in_rs = True
         self.issued = False
         self.completed = False
         self.squashed = False
-        self.deferred = False
         self.value = 0
         self.poisoned = False
         self.mem_addr: Optional[int] = None
@@ -62,14 +59,11 @@ class InFlightUop:
         self.level: Optional[str] = None
         self.done_cycle = 0
         self.merged = False
-        self.forwarded = False
         self.miss_issue_retired = -1
         self.predicted_next_pc = -1
-        self.predicted_taken = False
         self.snapshot: Optional[PredictorSnapshot] = None
         self.actual_next_pc = -1
         self.taken = False
-        self.mispredicted = False
         self.runahead = False
         self.from_rab = False
         self.producer_seqs: tuple[int, ...] = ()

@@ -231,9 +231,12 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--insts", type=int, default=20_000,
                         help="per-run instruction budget for both sides")
     verify.add_argument("--invariants", action="store_true",
-                        help="attach the per-cycle invariant checker")
+                        help="attach the per-step invariant checker")
     verify.add_argument("--invariant-every", type=int, default=1,
-                        metavar="N", help="check invariants every N cycles")
+                        metavar="N",
+                        help="check invariants every N core steps (a step "
+                             "is one cycle or one jump across an idle "
+                             "stretch)")
     verify.add_argument("--configs", nargs="+", default=None,
                         choices=sorted(CONFIG_BUILDERS),
                         help="configs to verify (default: the golden five)")

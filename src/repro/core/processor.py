@@ -14,9 +14,11 @@ modes:
   dependence chain from the ROB (Algorithm 1), clock-gate the front-end,
   and loop the chain through rename until the miss returns.
 
-The main loop is event-accelerated: cycles where provably nothing can
-happen (pure memory stall) are skipped in bulk, with stall accounting
-preserved — necessary for a Python-hosted cycle-level model.
+The main loop is event-accelerated: a stretch of cycles in which provably
+nothing can happen (a memory stall, including a full window blocked
+behind an LLC miss) is crossed in one jump to the next wake-up cycle,
+with stall accounting preserved — necessary for a Python-hosted
+cycle-level model.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ from .dataflow import DataflowTracker
 from .stats import SimStats
 
 _WATCHDOG_CYCLES = 1_000_000
+# "No such cycle" for the clock's wake-up candidates.
+_NEVER = 1 << 62
 
 
 class Processor:
@@ -202,6 +206,11 @@ class Processor:
         self.dispatched_total = 0
         self.halted = False
         self._entry_declined_seq = -1
+        # Event-driven clock (see _step): the cycle the idle stretch
+        # ahead of the clock ends at, and the last cycle a dispatcher
+        # stopped on a full structure.
+        self._wake = 0
+        self._dispatch_stall = -1
         self._last_progress = 0
         self.ev: dict[str, int] = {}
         # Optional observer called as commit_hook(uop, cycle) for every
@@ -224,10 +233,14 @@ class Processor:
 
     def set_cycle_hook(self, hook) -> None:
         """Install a debug observer called as ``hook(self)`` after every
-        simulated cycle, by shadowing ``_step`` with an instance
-        attribute — processors without a hook keep calling the class
-        method directly, so the hot loop pays nothing when this is off
-        (see repro.verify.invariants)."""
+        ``_step``, by shadowing ``_step`` with an instance attribute —
+        processors without a hook keep calling the class method
+        directly, so the hot loop pays nothing when this is off (see
+        repro.verify.invariants).
+
+        A step is one stepped cycle, or one jump across an idle stretch:
+        ``self.now`` may advance by more than one between two calls, and
+        the core's state is constant over the cycles jumped."""
         step = type(self)._step
 
         def stepped() -> None:
@@ -270,6 +283,9 @@ class Processor:
         self._flush_pipeline()
         self.rename.reset_to_values(values)
         self.fetch.redirect(arch_pc, self.now)
+        # The idle stretch the last step computed no longer exists.
+        self._wake = 0
+        self._dispatch_stall = -1
         return arch_pc
 
     def fast_forward(self, instructions: int,
@@ -448,10 +464,16 @@ class Processor:
             max_cycles: Optional[int] = None) -> SimStats:
         """Simulate until ``max_instructions`` commit (or HALT)."""
         target = self.committed + max_instructions
+        step = self._step   # the cycle hook's shadow, when one is set
         while not self.halted and self.committed < target:
-            if max_cycles is not None and self.now >= max_cycles:
-                break
-            self._step()
+            if max_cycles is not None:
+                if self.now >= max_cycles:
+                    break
+                # Stop an idle jump at the cap, where stepping the
+                # stretch cycle by cycle would have stopped.
+                if self._wake > max_cycles:
+                    self._wake = max_cycles
+            step()
             if self.now - self._last_progress > _WATCHDOG_CYCLES:
                 raise RuntimeError(
                     f"no forward progress for {_WATCHDOG_CYCLES} cycles "
@@ -464,97 +486,131 @@ class Processor:
     # -- one cycle ---------------------------------------------------------------
 
     def _step(self) -> None:
-        now = self.now
-        retries = self._retries
-        while retries and retries[0][0] <= now:
-            _at, _seq, uop = heapq.heappop(retries)
-            if not uop.squashed and not uop.issued:
-                self.ready.append(uop)
-        # Each stage call is guarded by the same cheap emptiness check the
-        # stage itself would bail on, so idle stages cost one comparison
-        # instead of a function call.
-        events = self.events
-        if events and events[0][0] <= now:
-            self._writeback(now)
-        rob = self.rob
-        mode = self.mode
-        if mode == "normal":
-            if rob and rob[0].completed:
-                self._commit(now)
-                if self.halted:
-                    return
-                rob = self.rob
-            if not self._ra_mode_off:
-                self._maybe_enter_runahead(now)
-                mode = self.mode   # may have just entered a runahead mode
-        else:
-            self._pseudo_retire(now)
-            if now >= self._exit_cycle:
-                self._exit_runahead(now)
-            mode = self.mode
-            rob = self.rob
-        if self.ready:
-            self._issue(now)
-        queue = self.decode_queue
-        if mode == "rab":
-            if queue:
-                if queue[0][0] <= now:
-                    self._dispatch_from_decode(now)
-            elif now >= self._rab_start_cycle:
-                self._dispatch_from_buffer(now)
-        else:
-            if queue and queue[0][0] <= now:
-                self._dispatch_from_decode(now)
-            if len(queue) < self.decode_queue_cap:
-                fetch = self.fetch
-                if (fetch.halted or fetch.wait_for_redirect
-                        or now < fetch.stalled_until):
-                    # fetch_cycle would return an empty group: account
-                    # the idle cycle without paying for the call.
-                    if self.mode == "normal":
-                        self.stats.frontend_idle_cycles += 1
-                else:
-                    self._fetch_into_decode(now)
+        """Simulate one cycle, or cross one provably idle stretch.
 
-        # -- advance the clock, skipping provably idle stretches in bulk --
-        nxt = now + 1
-        mode = self.mode
-        if not self.ready and not self.deferred_loads:
-            # retries are handled via the candidate times below.
-            best = self.events[0][0] if self.events else None
-            if retries:
-                t = retries[0][0]
-                if best is None or t < best:
-                    best = t
+        A step that does work advances the clock exactly as stepping
+        cycle by cycle would: by one, or straight to the next event when
+        nothing at all is pending.  When the only thing the next cycles
+        would do is re-try an entry stalled on a full structure (or wait
+        on a store address), the step records the earliest wake-up cycle
+        (:meth:`_wake_up`) in ``_wake`` and the next call jumps there in
+        one go."""
+        now = self.now
+        nxt = self._wake
+        if nxt > now:
+            # The idle stretch the previous step found.  Stepping visits
+            # each of its cycles, and fetch is blocked throughout (its
+            # resume cycle is a wake-up), so a normal-mode core counts
+            # every cycle as front-end idle, as stepping would.
+            if (self.mode == "normal"
+                    and len(self.decode_queue) < self.decode_queue_cap):
+                self.stats.frontend_idle_cycles += nxt - now
+        else:
+            retries = self._retries
+            while retries and retries[0][0] <= now:
+                _at, _seq, uop = heapq.heappop(retries)
+                if not uop.squashed and not uop.issued:
+                    self.ready.append(uop)
+            # Each stage call is guarded by the same cheap emptiness check
+            # the stage itself would bail on, so idle stages cost one
+            # comparison instead of a function call.
+            events = self.events
+            if events and events[0][0] <= now:
+                self._writeback(now)
+            rob = self.rob
+            mode = self.mode
+            if mode == "normal":
+                if rob and rob[0].completed:
+                    self._commit(now)
+                    if self.halted:
+                        return
+                if not self._ra_mode_off:
+                    head = self._entry_candidate()
+                    if head is not None:
+                        self._maybe_enter_runahead(head, now)
+                        mode = self.mode   # may have entered a runahead mode
+            else:
+                self._pseudo_retire(now)
+                if now >= self._exit_cycle:
+                    self._exit_runahead(now)
+                mode = self.mode
+            if self.ready:
+                self._issue(now)
             queue = self.decode_queue
-            if queue:
-                t = queue[0][0]
-                if best is None or t < best:
-                    best = t
-            fetch = self.fetch
-            if (mode != "rab" and not fetch.halted
-                    and not fetch.wait_for_redirect
-                    and len(queue) < self.decode_queue_cap):
-                t = fetch.stalled_until
-                if t < nxt:
-                    t = nxt
-                if best is None or t < best:
-                    best = t
             if mode == "rab":
-                t = self._rab_start_cycle
-                if t < nxt:
-                    t = nxt
-                if best is None or t < best:
-                    best = t
-            if mode != "normal":
-                t = self._exit_cycle
-                if best is None or t < best:
-                    best = t
-            if best is not None and best > nxt:
-                nxt = best
+                if queue:
+                    if queue[0][0] <= now:
+                        self._dispatch_from_decode(now)
+                elif now >= self._rab_start_cycle:
+                    self._dispatch_from_buffer(now)
+            else:
+                if queue and queue[0][0] <= now:
+                    self._dispatch_from_decode(now)
+                if len(queue) < self.decode_queue_cap:
+                    fetch = self.fetch
+                    if (fetch.halted or fetch.wait_for_redirect
+                            or now < fetch.stalled_until):
+                        # fetch_cycle would return an empty group: account
+                        # the idle cycle without paying for the call.
+                        if self.mode == "normal":
+                            self.stats.frontend_idle_cycles += 1
+                    else:
+                        self._fetch_into_decode(now)
+
+            # -- the clock --------------------------------------------------
+            # Advance by one, or jump straight to the next event when
+            # nothing at all is pending (retries are candidates too).  An
+            # entry a dispatcher stopped on for a full structure, or a
+            # load waiting on store-address disambiguation, keeps the
+            # stepped clock at the next cycle although nothing can free
+            # the structure or resolve the address before an event: then
+            # the stretch up to the wake-up collapses into the next call.
+            nxt = now + 1
+            if not self.ready:
+                mode = self.mode
+                deferred = self.deferred_loads
+                if not deferred:
+                    best = events[0][0] if events else None
+                    if retries:
+                        t = retries[0][0]
+                        if best is None or t < best:
+                            best = t
+                    queue = self.decode_queue
+                    if queue:
+                        t = queue[0][0]
+                        if best is None or t < best:
+                            best = t
+                    fetch = self.fetch
+                    if (mode != "rab" and not fetch.halted
+                            and not fetch.wait_for_redirect
+                            and len(queue) < self.decode_queue_cap):
+                        t = fetch.stalled_until
+                        if t < nxt:
+                            t = nxt
+                        if best is None or t < best:
+                            best = t
+                    if mode == "rab":
+                        t = self._rab_start_cycle
+                        if t < nxt:
+                            t = nxt
+                        if best is None or t < best:
+                            best = t
+                    if mode != "normal":
+                        t = self._exit_cycle
+                        if best is None or t < best:
+                            best = t
+                    if best is not None and best > nxt:
+                        nxt = best
+                if nxt == now + 1 and (deferred
+                                       or self._dispatch_stall == now):
+                    wake = self._wake_up(now)
+                    if nxt < wake < _NEVER:
+                        self._wake = wake
+
+        # Stall/mode accounting covers jumped cycles too: by construction
+        # nothing changes during the stretch.
         delta = nxt - now
-        # Stall/mode accounting covers skipped cycles too: by construction
-        # nothing changes during the skipped stretch.
+        mode = self.mode
         if mode == "runahead":
             self.stats.cycles_in_traditional += delta
         elif mode == "rab":
@@ -568,53 +624,115 @@ class Processor:
                 self.stats.memstall_cycles += delta
         self.now = nxt
 
+    def _wake_up(self, now: int) -> int:
+        """The earliest cycle after ``now`` at which a step can do
+        anything, given that the step at ``now`` left no uop ready to
+        issue (``_NEVER`` when nothing is pending at all).  The wake-up
+        cycles are: the next completion event or retry; fetch resuming
+        when the decode queue has room; a decode-queue or buffer entry
+        that is not stalled on a full structure; a completed ROB head;
+        the runahead exit cycle and the cycle the buffer starts.  The
+        runahead-entry check and the pseudo-retirement poison rule read
+        the clock, so the cycle after a stall forms, or after a head load
+        issues in runahead mode, is a wake-up too."""
+        nxt = now + 1
+        mode = self.mode
+        rob = self.rob
+        if rob:
+            head = rob[0]
+            if head.completed:
+                return nxt   # commit or pseudo-retirement drains it
+            if mode == "normal":
+                if (not self._ra_mode_off
+                        and self._entry_candidate() is not None):
+                    return nxt
+            elif self._poison_due(head, nxt):
+                return nxt
+        stalled = self._dispatch_stall == now
+        events = self.events
+        wake = events[0][0] if events else _NEVER
+        retries = self._retries
+        if retries and retries[0][0] < wake:
+            wake = retries[0][0]
+        queue = self.decode_queue
+        if queue:
+            t = queue[0][0]
+            if t < wake and (t > now or not stalled):
+                wake = t
+        if mode == "normal" or mode == "runahead":
+            fetch = self.fetch
+            if (not fetch.halted and not fetch.wait_for_redirect
+                    and len(queue) < self.decode_queue_cap):
+                t = max(fetch.stalled_until, nxt)
+                if t < wake:
+                    wake = t
+        if mode != "normal":
+            if self._exit_cycle < wake:
+                wake = self._exit_cycle
+            if mode == "rab":
+                t = self._rab_start_cycle
+                if t > now:
+                    if t < wake:
+                        wake = t
+                elif not queue and not stalled:
+                    return nxt   # the buffer dispatches
+        return wake
+
     # ------------------------------------------------------------------
     # Writeback / branch resolution
     # ------------------------------------------------------------------
 
     def _writeback(self, now: int) -> None:
+        """Complete every uop whose result is due by ``now``: write its
+        destination register, wake its waiters, release loads deferred
+        behind a store, and resolve branches."""
         events = self.events
         heappop = heapq.heappop
+        prf = self.prf
+        values = prf.value
+        ready_bits = prf.ready
+        poison = prf.poison
+        waiters_of = self.waiters
+        ready = self.ready
+        tracking = self._tracking
+        prf_writes = 0
+        completed = 0
         while events and events[0][0] <= now:
             uop = heappop(events)[2]
             if uop.squashed or uop.completed:
                 continue
-            self._complete(uop, now)
-
-    def _complete(self, uop: InFlightUop, now: int) -> None:
-        uop.completed = True
-        dest_phys = uop.dest_phys
-        if dest_phys is not None:
-            prf = self.prf
-            prf.value[dest_phys] = uop.value
-            prf.ready[dest_phys] = 1
-            prf.poison[dest_phys] = 1 if uop.poisoned else 0
-            self._ev_prf_write += 1
-            waiters = self.waiters.pop(dest_phys, None)
-            if waiters:
-                ready = self.ready
-                for waiter in waiters:
-                    if waiter.squashed:
-                        continue
-                    waiter.waiting -= 1
-                    if waiter.waiting == 0:
-                        ready.append(waiter)
-        self._ev_rs_wakeup += 1
-        if uop.inst.is_store:
-            # Address now known: deferred loads may proceed.
-            if self.deferred_loads:
-                self.ready.extend(
-                    u for u in self.deferred_loads if not u.squashed
-                )
+            uop.completed = True
+            completed += 1
+            dest_phys = uop.dest_phys
+            if dest_phys is not None:
+                values[dest_phys] = uop.value
+                ready_bits[dest_phys] = 1
+                poison[dest_phys] = 1 if uop.poisoned else 0
+                prf_writes += 1
+                waiters = waiters_of.pop(dest_phys, None)
+                if waiters:
+                    for waiter in waiters:
+                        if waiter.squashed:
+                            continue
+                        waiter.waiting -= 1
+                        if waiter.waiting == 0:
+                            ready.append(waiter)
+            inst = uop.inst
+            if inst.is_store and self.deferred_loads:
+                # Address now known: deferred loads may proceed.
+                ready.extend(u for u in self.deferred_loads
+                             if not u.squashed)
                 self.deferred_loads.clear()
-        if self._tracking:
-            self.tracker.note_exec(
-                uop.seq, uop.pc, uop.producer_seqs,
-                uop.inst.is_load and uop.level == "DRAM",
-                uop.runahead,
-            )
-        if uop.inst.is_branch:
-            self._resolve_branch(uop, now)
+            if tracking:
+                self.tracker.note_exec(
+                    uop.seq, uop.pc, uop.producer_seqs,
+                    inst.is_load and uop.level == "DRAM",
+                    uop.runahead,
+                )
+            if inst.is_branch:
+                self._resolve_branch(uop, now)
+        self._ev_prf_write += prf_writes
+        self._ev_rs_wakeup += completed
 
     def _resolve_branch(self, uop: InFlightUop, now: int) -> None:
         inst = uop.inst
@@ -625,7 +743,6 @@ class Processor:
         if inst.is_conditional_branch:
             self.stats.cond_branches += 1
         mispredicted = uop.actual_next_pc != uop.predicted_next_pc
-        uop.mispredicted = mispredicted
         self.predictor.update(
             uop.pc, inst, uop.taken, uop.actual_next_pc, mispredicted,
             ghr=uop.snapshot.ghr if uop.snapshot is not None else None,
@@ -713,12 +830,7 @@ class Processor:
                 break
             uop = rob[0]
             if not uop.completed:
-                if (uop.issued and uop.inst.is_load
-                        and uop.done_cycle - now > self._poison_latency):
-                    # Runahead semantics: a load waiting on far-away data
-                    # (a DRAM miss or a merge with an in-flight fill)
-                    # becomes INV — poison its destination and pseudo-
-                    # retire it; its prefetch is already in flight.
+                if self._poison_due(uop, now):
                     self._poison_head(uop)
                     self.stats.inv_ops += 1
                 else:
@@ -746,36 +858,41 @@ class Processor:
     # Runahead entry / exit
     # ------------------------------------------------------------------
 
-    def _window_stalled(self) -> bool:
-        """True when the out-of-order window cannot grow further: the ROB
-        is full, or a secondary structure (RS/LSQ) has filled behind the
-        blocking miss."""
-        return (
-            len(self.rob) >= self._rob_size
-            or self.rs_used >= self._rs_size
-            or self.store_queue.full()
-            or self.load_queue_used >= self._lq_size
-        )
+    def _poison_due(self, uop: InFlightUop, now: int) -> bool:
+        """Runahead semantics: an incomplete ROB-head load waiting on
+        far-away data (a DRAM miss or a merge with an in-flight fill)
+        becomes INV — pseudo-retirement poisons its destination and
+        retires it; its prefetch is already in flight."""
+        return (uop.issued and uop.inst.is_load
+                and uop.done_cycle - now > self._poison_latency)
 
-    def _maybe_enter_runahead(self, now: int) -> None:
-        if self._ra_mode_off:
-            return
+    def _entry_candidate(self) -> Optional[InFlightUop]:
+        """The ROB head when the runahead-entry check has a decision to
+        make for it — the window is stalled behind a DRAM miss that is
+        neither merged into an in-flight fill (the line is already on
+        its way, e.g. a prefetch: not worth an interval) nor already
+        declined — else ``None``.  Side-effect free."""
         rob = self.rob
         if not rob:
-            return
-        # Cheapest checks first; none of them have side effects, so the
-        # order is free to differ from the logical entry conditions.
+            return None
+        # Cheapest checks first; the order is free to differ from the
+        # logical entry conditions.
         head = rob[0]
         if head.completed or not head.inst.is_load or head.level != "DRAM":
-            return
-        if not self._window_stalled():
-            return
-        if head.merged:
-            # The line is already on its way (e.g. an in-flight prefetch):
-            # the remaining stall is not worth a runahead interval.
-            return
-        if head.seq == self._entry_declined_seq:
-            return
+            return None
+        if head.merged or head.seq == self._entry_declined_seq:
+            return None
+        # The window cannot grow further: the ROB is full, or a secondary
+        # structure (RS/LSQ) has filled behind the blocking miss.
+        if (len(rob) >= self._rob_size or self.rs_used >= self._rs_size
+                or self.store_queue.full()
+                or self.load_queue_used >= self._lq_size):
+            return head
+        return None
+
+    def _maybe_enter_runahead(self, head: InFlightUop, now: int) -> None:
+        """Enter a runahead mode for ``head`` (an :meth:`_entry_candidate`)
+        or decline it once."""
         ra = self.config.runahead
         remaining = head.done_cycle - now
         if remaining < self._min_interval:
@@ -988,6 +1105,7 @@ class Processor:
         # Per-port budgets, indexed by the statically decoded port class.
         ports = list(self._port_limits)
         skipped: Optional[list[InFlightUop]] = None
+        issued = 0
         while ready and budget > 0:
             uop = ready.popleft()
             if uop.squashed:
@@ -1014,8 +1132,10 @@ class Processor:
             budget -= 1
             if self._execute(uop, now):
                 uop.issued = True
-                self.rs_used -= 1
-                self._ev_issue += 1
+                issued += 1
+        if issued:
+            self.rs_used -= issued
+            self._ev_issue += issued
         if skipped is not None:
             for uop in reversed(skipped):
                 ready.appendleft(uop)
@@ -1135,7 +1255,6 @@ class Processor:
         uop.addr_known = True
         result, store = self.store_queue.search(addr >> 3, uop.seq)
         if result is ForwardResult.WAIT:
-            uop.deferred = True
             self.deferred_loads.append(uop)
             return -1
         t_access = now + self._lat_agu
@@ -1144,7 +1263,6 @@ class Processor:
             assert store is not None
             uop.value = store.store_data
             uop.poisoned = store.poisoned and in_runahead
-            uop.forwarded = True
             return t_access + self._l1d_latency
         if in_runahead and self._ra_cache_enabled:
             cached = self.runahead_cache.read(addr)
@@ -1191,128 +1309,136 @@ class Processor:
     # Rename / dispatch
     # ------------------------------------------------------------------
 
-    def _resources_available(self, inst) -> bool:
-        if len(self.rob) >= self._rob_size:
-            return False
-        if self.rs_used >= self._rs_size:
-            return False
-        if inst.dest_reg is not None and not self.rename.free_list:
-            return False
-        if inst.is_load and self.load_queue_used >= self._lq_size:
-            return False
-        if inst.is_store and self.store_queue.full():
-            return False
-        return True
-
-    def _rename_dispatch(self, pc: int, inst, fetched: Optional[FetchedUop],
-                         now: int, from_rab: bool) -> InFlightUop:
-        rename = self.rename
-        prf = self.prf
-        uop = InFlightUop(self.seq, pc, inst)
-        self.seq += 1
-        uop.runahead = self._in_ra
-        uop.from_rab = from_rab
-
-        rat = rename.rat
-        ready_bits = prf.ready
-        waiters = self.waiters
-        src1 = inst.src1
-        src2 = inst.src2
-        tracking = self._tracking
-        waiting = 0
-        producers = [] if tracking else None
-        if src1 is not None:
-            phys = rat[src1]
-            uop.src1_phys = phys
-            if tracking:
-                producers.append(prf.producer_seq[phys])
-            if not ready_bits[phys]:
-                waiting = 1
-                waiters.setdefault(phys, []).append(uop)
-        if src2 is not None:
-            phys = rat[src2]
-            uop.src2_phys = phys
-            if tracking:
-                producers.append(prf.producer_seq[phys])
-            # STA/STD split: a store's data operand does not gate issue —
-            # the address computes as soon as rs1 is ready; the data is
-            # picked up when it arrives (see _issue / _execute).
-            if not ready_bits[phys] and not inst.is_store:
-                waiting += 1
-                waiters.setdefault(phys, []).append(uop)
-        if tracking:
-            uop.producer_seqs = tuple(producers)
-
-        dest = inst.dest_reg
-        if dest is not None:
-            new_phys = rename.free_list.pop()
-            uop.dest_arch = dest
-            uop.dest_phys = new_phys
-            uop.old_phys = rat[dest]
-            rat[dest] = new_phys
-            # Inlined prf.mark_pending(new_phys, uop.seq).
-            ready_bits[new_phys] = 0
-            prf.poison[new_phys] = 0
-            prf.producer_seq[new_phys] = uop.seq
-
-        if fetched is not None:
-            uop.predicted_next_pc = fetched.predicted_next_pc
-            uop.predicted_taken = fetched.predicted_taken
-            uop.snapshot = fetched.snapshot
-
-        uop.waiting = waiting
-        self.rob.append(uop)
-        if inst.is_load:
-            self.load_queue_used += 1
-        elif inst.is_store:
-            self.store_queue.push(uop)
-        if waiting == 0:
-            self.ready.append(uop)
-        self.rs_used += 1
-        # One counter stands in for every always-equal per-dispatch count
-        # (rename, rs_dispatch, rob_write, dispatched_uops/total); they
-        # are fanned back out in _finalize_stats.
-        self._ev_rename += 1
-        return uop
-
     def _dispatch_from_decode(self, now: int) -> None:
-        queue = self.decode_queue
-        rob = self.rob
-        free_list = self.rename.free_list
-        store_queue = self.store_queue
-        for _ in range(self.width):
-            if not queue:
-                break
-            entry = queue[0]
-            if entry[0] > now:
-                break
-            fetched = entry[1]
-            inst = fetched.inst
-            # Inlined _resources_available (kept in sync with the method,
-            # which the buffer dispatcher still uses).
-            if (len(rob) >= self._rob_size
-                    or self.rs_used >= self._rs_size
-                    or (inst.dest_reg is not None and not free_list)
-                    or (inst.is_load
-                        and self.load_queue_used >= self._lq_size)
-                    or (inst.is_store and store_queue.full())):
-                break
-            queue.popleft()
-            self._rename_dispatch(fetched.pc, inst, fetched, now,
-                                  from_rab=False)
+        self._dispatch(now, False)
 
     def _dispatch_from_buffer(self, now: int) -> None:
+        if self.rab.active:
+            self._dispatch(now, True)
+
+    def _dispatch(self, now: int, from_rab: bool) -> None:
+        """Rename and dispatch up to ``width`` uops in order, from the
+        decode queue or (runahead-buffer mode) from the buffer's chain
+        loop.  Stops at the first uop a full ROB, RS, free list, load or
+        store queue blocks, and records the cycle in ``_dispatch_stall``:
+        the clock reads it to tell a stalled entry from a dispatchable
+        one.
+
+        Renaming is classic merged-file: RAT lookup per source, free-list
+        allocation per destination, ``old_phys`` kept for rollback."""
+        queue = self.decode_queue
         rab = self.rab
-        if not rab.active:
-            return
+        rob = self.rob
+        rob_size = self._rob_size
+        rs_size = self._rs_size
+        lq_size = self._lq_size
+        rs_used = self.rs_used
+        lq_used = self.load_queue_used
+        store_queue = self.store_queue
+        rename = self.rename
+        free_list = rename.free_list
+        rat = rename.rat
+        prf = self.prf
+        ready_bits = prf.ready
+        poison = prf.poison
+        producer_seq = prf.producer_seq
+        waiters = self.waiters
+        ready = self.ready
+        tracking = self._tracking
+        in_ra = self._in_ra
+        seq = start_seq = self.seq
+        fetched = None
         for _ in range(self.width):
-            chain_uop = rab.peek()
-            if not self._resources_available(chain_uop.inst):
+            if from_rab:
+                source = rab.peek()
+            else:
+                if not queue:
+                    break
+                entry = queue[0]
+                if entry[0] > now:
+                    break
+                fetched = source = entry[1]
+            inst = source.inst
+            dest = inst.dest_reg
+            is_load = inst.is_load
+            is_store = inst.is_store
+            if (len(rob) >= rob_size or rs_used >= rs_size
+                    or (dest is not None and not free_list)
+                    or (is_load and lq_used >= lq_size)
+                    or (is_store and store_queue.full())):
+                self._dispatch_stall = now
                 break
-            rab.take()
-            self._rename_dispatch(chain_uop.pc, chain_uop.inst, None, now,
-                                  from_rab=True)
-            self._ev_rab_read += 1
+            if from_rab:
+                rab.take()
+            else:
+                queue.popleft()
+
+            uop = InFlightUop(seq, source.pc, inst)
+            if in_ra:
+                uop.runahead = True
+                uop.from_rab = from_rab
+            src1 = inst.src1
+            src2 = inst.src2
+            waiting = 0
+            if tracking:
+                producers = []
+            if src1 is not None:
+                phys = rat[src1]
+                uop.src1_phys = phys
+                if tracking:
+                    producers.append(producer_seq[phys])
+                if not ready_bits[phys]:
+                    waiting = 1
+                    waiters.setdefault(phys, []).append(uop)
+            if src2 is not None:
+                phys = rat[src2]
+                uop.src2_phys = phys
+                if tracking:
+                    producers.append(producer_seq[phys])
+                # STA/STD split: a store's data operand does not gate
+                # issue — the address computes as soon as rs1 is ready;
+                # the data is picked up when it arrives (see _issue /
+                # _execute).
+                if not ready_bits[phys] and not is_store:
+                    waiting += 1
+                    waiters.setdefault(phys, []).append(uop)
+            if tracking:
+                uop.producer_seqs = tuple(producers)
+            if dest is not None:
+                new_phys = free_list.pop()
+                uop.dest_arch = dest
+                uop.dest_phys = new_phys
+                uop.old_phys = rat[dest]
+                rat[dest] = new_phys
+                # Inlined prf.mark_pending(new_phys, seq).
+                ready_bits[new_phys] = 0
+                poison[new_phys] = 0
+                producer_seq[new_phys] = seq
+            if fetched is not None:
+                uop.predicted_next_pc = fetched.predicted_next_pc
+                uop.snapshot = fetched.snapshot
+            rob.append(uop)
+            if is_load:
+                lq_used += 1
+            elif is_store:
+                store_queue.push(uop)
+            if waiting:
+                uop.waiting = waiting
+            else:
+                ready.append(uop)
+            rs_used += 1
+            seq += 1
+        dispatched = seq - start_seq
+        if dispatched:
+            self.seq = seq
+            self.rs_used = rs_used
+            self.load_queue_used = lq_used
+            # One counter stands in for every always-equal per-dispatch
+            # count (rename, rs_dispatch, rob_write, dispatched_uops/
+            # total); they are fanned back out in _finalize_stats.
+            self._ev_rename += dispatched
+            if from_rab:
+                self._ev_rab_read += dispatched
 
     # ------------------------------------------------------------------
     # Fetch
@@ -1322,7 +1448,8 @@ class Processor:
         space = self.decode_queue_cap - len(self.decode_queue)
         if space <= 0:
             return
-        group = self.fetch.fetch_cycle(now, budget=min(self.width, space))
+        width = self.width
+        group = self.fetch.fetch_cycle(now, width if space > width else space)
         if not group:
             if self.mode == "normal":
                 self.stats.frontend_idle_cycles += 1

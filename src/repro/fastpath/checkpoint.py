@@ -45,6 +45,7 @@ import hashlib
 import os
 import pickle
 import time
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
@@ -192,13 +193,16 @@ class CheckpointStore:
         can atomically replace the corrupt file between our read and our
         delete, so the unlink would destroy the *good* entry (a lost
         update).  Instead the entry is claimed by an atomic rename to a
-        per-process name: exactly one evictor wins (losers see the
-        rename fail and count a plain miss), and the claimed bytes are
-        re-checked — if a concurrent save already replaced the corrupt
-        entry, the claimed file is the fresh valid one, so it is put
-        back (equal keys address equal states, so the replace is
-        harmless) and returned as a hit."""
-        claimed = path.with_name(f"{path.name}.evict.{os.getpid()}")
+        name unique to this call (threads of one process share a pid,
+        so a per-process name would let two claims overwrite each
+        other): exactly one evictor wins each rename (losers see it fail
+        and count a plain miss), and the claimed bytes are re-checked —
+        if a concurrent save already replaced the corrupt entry, the
+        claimed file is the fresh valid one, so it is put back (equal
+        keys address equal states, so the replace is harmless) and
+        returned as a hit.  A claim that is lost anyway counts as a
+        miss."""
+        claimed = path.with_name(f"{path.name}.evict.{uuid.uuid4().hex}")
         try:
             os.rename(path, claimed)
         except OSError:
@@ -210,7 +214,10 @@ class CheckpointStore:
         if snap is None:
             claimed.unlink(missing_ok=True)
             return None
-        os.replace(claimed, path)
+        try:
+            os.replace(claimed, path)
+        except OSError:
+            return None
         return snap
 
     def save(self, key: str, snap: dict) -> None:
@@ -222,7 +229,7 @@ class CheckpointStore:
         if not schema_file.exists():
             schema_file.write_text(f"{CKPT_SCHEMA}\n")
         blob = pickle.dumps((self._MAGIC, CKPT_SCHEMA, snap), protocol=4)
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+        tmp = path.with_name(f"{path.name}.tmp.{uuid.uuid4().hex}")
         try:
             tmp.write_bytes(blob)
             os.replace(tmp, path)

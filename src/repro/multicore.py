@@ -151,6 +151,8 @@ class System:
                 # but cheap to guard).
                 heapq.heappush(heap, (core.now, idx))
                 continue
+            if max_cycles is not None and core._wake > max_cycles:
+                core._wake = max_cycles   # as Processor.run caps it
             core._step()
             if core.now - core._last_progress > _WATCHDOG_CYCLES:
                 raise RuntimeError(

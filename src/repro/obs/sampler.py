@@ -1,10 +1,12 @@
 """Per-cycle occupancy sampling of the core's queuing structures.
 
-The simulator's main loop skips provably idle stretches in bulk, so a
-"per-cycle" sampler cannot naively fire every ``stride`` host calls:
-``Processor.now`` may jump.  The sampler instead records one sample each
-time the clock crosses the next stride boundary — exact, because by
-construction nothing changes during a skipped stretch.
+The simulator's main loop crosses provably idle stretches in one jump, so
+a "per-cycle" sampler cannot naively fire every ``stride`` host calls:
+``Processor.now`` may jump.  The sampler instead fixes a grid of stride
+boundaries at the first cycle it observes, and records one sample per
+boundary the clock crosses, stamped with the boundary cycle — exact,
+because the core's structures are constant between two steps, and the
+MSHR occupancy is read at the boundary cycle itself.
 
 Samples feed a CSV (one row per sample) and the Perfetto exporter's
 counter tracks.
@@ -15,7 +17,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
+from typing import IO, Optional
 
 SAMPLE_FIELDS = (
     "cycle", "mode", "rob", "rs", "load_queue", "store_queue",
@@ -50,25 +52,34 @@ class OccupancySampler:
             raise ValueError("stride must be >= 1")
         self.stride = stride
         self.samples: list[OccupancySample] = []
-        self._next_cycle = 0
+        self._next_cycle: Optional[int] = None   # grid starts at 1st call
 
     def on_cycle(self, proc) -> None:
-        """Cycle hook: sample when the clock crosses the next boundary."""
+        """Cycle hook: one sample per stride boundary the clock crossed
+        since the previous call."""
         now = proc.now
-        if now < self._next_cycle:
+        cycle = self._next_cycle
+        if cycle is None:
+            cycle = now
+        elif now < cycle:
             return
-        self._next_cycle = now + self.stride
-        self.samples.append(OccupancySample(
-            cycle=now,
-            mode=proc.mode,
-            rob=len(proc.rob),
-            rs=proc.rs_used,
-            load_queue=proc.load_queue_used,
-            store_queue=len(proc.store_queue),
-            mshr=proc.hierarchy.mshr_occupancy(now),
-            decode_queue=len(proc.decode_queue),
-            ready=len(proc.ready),
-        ))
+        mode = proc.mode
+        rob = len(proc.rob)
+        rs = proc.rs_used
+        load_queue = proc.load_queue_used
+        store_queue = len(proc.store_queue)
+        decode_queue = len(proc.decode_queue)
+        ready = len(proc.ready)
+        mshr_occupancy = proc.hierarchy.mshr_occupancy
+        while cycle <= now:
+            self.samples.append(OccupancySample(
+                cycle=cycle, mode=mode, rob=rob, rs=rs,
+                load_queue=load_queue, store_queue=store_queue,
+                mshr=mshr_occupancy(cycle), decode_queue=decode_queue,
+                ready=ready,
+            ))
+            cycle += self.stride
+        self._next_cycle = cycle
 
     # -- export ----------------------------------------------------------------
 

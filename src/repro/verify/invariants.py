@@ -3,9 +3,11 @@
 The checker attaches to a :class:`~repro.core.Processor` through
 ``Processor.set_cycle_hook`` — a debug shadow of ``_step`` that exists
 only on instances with a hook installed, so the production hot loop is
-untouched when checking is off.  After every simulated cycle it
+untouched when checking is off.  After every step of the core it
 validates the structural invariants whose violation would otherwise
-corrupt results *silently*:
+corrupt results *silently*.  A step is one stepped cycle or one jump
+across an idle stretch (the core's state is constant over the cycles
+jumped), so the checks see every state the core passes through:
 
 * **ROB order** — sequence numbers strictly increase head to tail, and
   no squashed uop lingers in the window;
@@ -36,7 +38,11 @@ class InvariantError(AssertionError):
 
 
 class InvariantChecker:
-    """Validates core invariants after each cycle (or every ``every``-th)."""
+    """Validates core invariants after each step (or every ``every``-th).
+
+    ``every`` and ``cycles_checked`` count steps of ``Processor._step``,
+    not simulated cycles: one step may jump an idle stretch of many
+    cycles."""
 
     def __init__(self, processor: Processor, every: int = 1) -> None:
         if every < 1:

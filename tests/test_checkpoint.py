@@ -496,6 +496,38 @@ class TestEvictionRace:
         store.save(key, snap)
         assert store.load(key) is not None
 
+    def test_two_claimants_in_one_process(self, tmp_path, monkeypatch):
+        """Two evictions of one entry overlapping inside one process
+        (window-job threads share a pid): the first claimant is paused
+        just before putting its claim back while a peer rewrites the
+        entry and a second claimant evicts it start to finish.  Each
+        claim has its own name, so neither put-back loses the other's
+        file, and both recover the valid entry."""
+        import os
+
+        store, key, snap = self._entry(tmp_path)
+        store.save(key, snap)
+        path = store._path(key)
+        real_replace = os.replace
+        second = []
+
+        def replace(src, dst):
+            if ".evict." in str(src) and not second:
+                second.append(None)
+                store.save(key, snap)
+                second[0] = CheckpointStore(tmp_path)._evict(path)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        first = store._evict(path)
+        monkeypatch.undo()
+        assert second and second[0] is not None
+        assert snapshot_bytes(second[0]) == snapshot_bytes(snap)
+        assert first is not None
+        assert snapshot_bytes(first) == snapshot_bytes(snap)
+        assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
+        assert snapshot_bytes(store.load(key)) == snapshot_bytes(snap)
+
     def test_concurrent_eviction_stress(self, tmp_path):
         """Many workers loading/saving/corrupting one key concurrently:
         no exceptions, no lingering claim files, and the surviving entry

@@ -164,6 +164,32 @@ def test_port_graph_single_core_matches_golden(golden, config_name):
         f"pinned single-core reference on {mismatches}")
 
 
+# -- the wake-up-driven clock --------------------------------------------------
+#
+# A full window blocked behind an LLC miss (and any other stretch in which
+# no stage can act) costs one _step call, not one per cycle.  The cells
+# must still match the pinned reference, which was produced by stepping
+# such stretches cycle by cycle.
+
+@pytest.mark.parametrize("config_name,max_share", (("baseline", 0.5),
+                                                   ("hybrid", 0.75)))
+def test_idle_stretches_cost_one_step(golden, config_name, max_share):
+    steps = 0
+
+    def count(_proc) -> None:
+        nonlocal steps
+        steps += 1
+
+    result = simulate("mcf", build_named_config(config_name),
+                      max_instructions=INSTRUCTIONS,
+                      warmup_instructions=WARMUP,
+                      attach=lambda proc: proc.set_cycle_hook(count))
+    assert _canonical(result.stats) == golden["cells"][f"mcf/{config_name}"]
+    cycles = result.stats.cycles
+    assert steps <= max_share * cycles, (
+        f"mcf/{config_name}: {steps} steps for {cycles} simulated cycles")
+
+
 def test_golden_covers_full_grid(golden):
     expected = {f"{w}/{c}" for w in workload_names() for c in CONFIGS}
     assert expected == set(golden["cells"])

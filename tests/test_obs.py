@@ -385,6 +385,29 @@ def test_sampler_stride_semantics(hybrid_run):
         OccupancySampler(stride=0)
 
 
+def test_sampler_emits_every_boundary_a_jump_crosses():
+    """One step can jump an idle stretch: each stride boundary crossed
+    gets its own sample, stamped with the boundary cycle and reading the
+    MSHR occupancy at that cycle."""
+    from types import SimpleNamespace
+
+    fills = [30, 50]   # MSHR fills in flight, by completion cycle
+    hierarchy = SimpleNamespace(
+        mshr_occupancy=lambda now: sum(1 for done in fills if done > now))
+    proc = SimpleNamespace(now=1, mode="normal", rob=[0] * 192, rs_used=40,
+                           load_queue_used=30, store_queue=[], ready=[],
+                           decode_queue=[0] * 16, hierarchy=hierarchy)
+    sampler = OccupancySampler(stride=10)
+    sampler.on_cycle(proc)          # anchors the grid at cycle 1
+    proc.now = 8
+    sampler.on_cycle(proc)          # no boundary crossed
+    proc.now = 41                   # jump across 11, 21, 31 and 41
+    sampler.on_cycle(proc)
+    assert [s.cycle for s in sampler.samples] == [1, 11, 21, 31, 41]
+    assert [s.mshr for s in sampler.samples] == [2, 2, 2, 1, 1]
+    assert {s.rob for s in sampler.samples} == {192}
+
+
 # ---------------------------------------------------------------------------
 # Golden snapshots (Perfetto JSON + occupancy CSV)
 # ---------------------------------------------------------------------------
