@@ -207,9 +207,11 @@ class Processor:
         self.halted = False
         self._entry_declined_seq = -1
         # Event-driven clock (see _step): the cycle the idle stretch
-        # ahead of the clock ends at, and the last cycle a dispatcher
-        # stopped on a full structure.
+        # ahead of the clock ends at, the cycle cap of the current run
+        # that bounds it (see set_cycle_cap), and the last cycle a
+        # dispatcher stopped on a full structure.
         self._wake = 0
+        self._wake_cap = _NEVER
         self._dispatch_stall = -1
         self._last_progress = 0
         self.ev: dict[str, int] = {}
@@ -460,19 +462,25 @@ class Processor:
     # Main loop
     # ------------------------------------------------------------------
 
+    def set_cycle_cap(self, max_cycles: Optional[int]) -> None:
+        """Bound idle jumps by a run's ``max_cycles``: a jump stops at the
+        cap, where stepping the stretch cycle by cycle would have
+        stopped.  Called once as a run starts; it also clips a wake-up
+        an earlier run stored under a looser cap."""
+        cap = _NEVER if max_cycles is None else max_cycles
+        self._wake_cap = cap
+        if self._wake > cap:
+            self._wake = cap
+
     def run(self, max_instructions: int,
             max_cycles: Optional[int] = None) -> SimStats:
         """Simulate until ``max_instructions`` commit (or HALT)."""
         target = self.committed + max_instructions
+        self.set_cycle_cap(max_cycles)
         step = self._step   # the cycle hook's shadow, when one is set
         while not self.halted and self.committed < target:
-            if max_cycles is not None:
-                if self.now >= max_cycles:
-                    break
-                # Stop an idle jump at the cap, where stepping the
-                # stretch cycle by cycle would have stopped.
-                if self._wake > max_cycles:
-                    self._wake = max_cycles
+            if max_cycles is not None and self.now >= max_cycles:
+                break
             step()
             if self.now - self._last_progress > _WATCHDOG_CYCLES:
                 raise RuntimeError(
@@ -605,7 +613,8 @@ class Processor:
                                        or self._dispatch_stall == now):
                     wake = self._wake_up(now)
                     if nxt < wake < _NEVER:
-                        self._wake = wake
+                        cap = self._wake_cap
+                        self._wake = wake if wake < cap else cap
 
         # Stall/mode accounting covers jumped cycles too: by construction
         # nothing changes during the stretch.

@@ -201,7 +201,8 @@ class CheckpointStore:
         claimed file is the fresh valid one, so it is put back (equal
         keys address equal states, so the replace is harmless) and
         returned as a hit.  A claim that is lost anyway counts as a
-        miss."""
+        miss; a valid claim that cannot be put back is still returned,
+        and is removed (the next save rewrites the entry)."""
         claimed = path.with_name(f"{path.name}.evict.{uuid.uuid4().hex}")
         try:
             os.rename(path, claimed)
@@ -217,7 +218,7 @@ class CheckpointStore:
         try:
             os.replace(claimed, path)
         except OSError:
-            return None
+            claimed.unlink(missing_ok=True)
         return snap
 
     def save(self, key: str, snap: dict) -> None:

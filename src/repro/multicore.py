@@ -140,6 +140,8 @@ class System:
         """
         import heapq
         targets = [core.committed + max_instructions for core in self.cores]
+        for core in self.cores:
+            core.set_cycle_cap(max_cycles)
         heap = [(core.now, idx) for idx, core in enumerate(self.cores)
                 if not core.halted and core.committed < targets[idx]]
         heapq.heapify(heap)
@@ -151,8 +153,6 @@ class System:
                 # but cheap to guard).
                 heapq.heappush(heap, (core.now, idx))
                 continue
-            if max_cycles is not None and core._wake > max_cycles:
-                core._wake = max_cycles   # as Processor.run caps it
             core._step()
             if core.now - core._last_progress > _WATCHDOG_CYCLES:
                 raise RuntimeError(

@@ -12,9 +12,9 @@ the standing oracle that enforces that:
   nested counted loops) that are guaranteed to terminate;
 * :mod:`repro.verify.differential` — runs one program through both the
   interpreter oracle and the full OoO core, diffs the retirement streams
-  (pc, next_pc, dest_value, mem_addr, taken) and the final architectural
-  register/memory state, and renders a divergence report that pinpoints
-  the first mismatching retired op;
+  (opcode, pc, next_pc, taken, dest_value, mem_addr) and the final
+  architectural register/memory state, and renders a divergence report
+  that pinpoints the first mismatching retired op;
 * :mod:`repro.verify.invariants` — an opt-in per-cycle invariant checker
   hooked into ``Processor._step`` via a debug shadow (ROB seq
   monotonicity, store-queue/ROB consistency, no runahead-poisoned state

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import traceback
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from ..config import SystemConfig, build_named_config
 from ..core import Processor
-from ..isa import Interpreter, RetiredOp
-from ..isa.uop import CLS_BRANCH, CLS_NOP, CLS_STORE
+from ..isa import Interpreter, Opcode
+from ..isa.uop import CLS_BRANCH, CLS_LOAD, CLS_NOP, CLS_STORE
 from .fuzz import FuzzProgram, format_program
 from .invariants import InvariantError, attach_invariant_checker
 
@@ -32,20 +32,22 @@ from .invariants import InvariantError, attach_invariant_checker
 CONTEXT_OPS = 6
 
 
-@dataclass(frozen=True)
-class RetireRecord:
-    """One architecturally retired op, normalized for comparison."""
+class RetireRecord(NamedTuple):
+    """The layout of one architecturally retired op in a retirement
+    stream.  Streams hold plain tuples of this layout (cheaper to build
+    per op; a NamedTuple equals a plain tuple with the same values), so
+    two streams compare with one list equality.  This type names the
+    fields for reports."""
 
-    index: int                      # retire order (0-based)
     pc: int
-    opcode: str
+    opcode: Opcode
     next_pc: int
+    taken: Optional[bool]
     dest_value: Optional[int]
     mem_addr: Optional[int]
-    taken: Optional[bool]
 
-    def format(self) -> str:
-        parts = [f"#{self.index}", f"pc={self.pc}", self.opcode,
+    def format(self, index: int) -> str:
+        parts = [f"#{index}", f"pc={self.pc}", self.opcode.name,
                  f"next={self.next_pc}"]
         if self.dest_value is not None:
             parts.append(f"val={self.dest_value:#x}")
@@ -56,8 +58,9 @@ class RetireRecord:
         return " ".join(parts)
 
 
-#: The per-op fields diffed, in report order.
-COMPARED_FIELDS = ("pc", "next_pc", "taken", "dest_value", "mem_addr")
+#: The per-op fields diffed, in report order, as indices into a record.
+_REPORT_ORDER = tuple(RetireRecord._fields.index(f) for f in (
+    "opcode", "pc", "next_pc", "taken", "dest_value", "mem_addr"))
 
 
 @dataclass
@@ -74,50 +77,14 @@ class Divergence:
     context: str = ""               # surrounding ops from both streams
 
 
-def _record_from_oracle(op: RetiredOp, index: int) -> RetireRecord:
-    return RetireRecord(
-        index=index,
-        pc=op.pc,
-        opcode=op.inst.opcode.name,
-        next_pc=op.next_pc,
-        dest_value=op.dest_value,
-        mem_addr=op.mem_addr,
-        taken=op.taken,
-    )
-
-
-def _record_from_uop(uop, index: int) -> RetireRecord:
-    inst = uop.inst
-    cls = inst.cls_idx
-    if cls == CLS_BRANCH:
-        next_pc = uop.actual_next_pc
-        taken: Optional[bool] = uop.taken
-        dest_value = uop.value if inst.is_call else None
-    else:
-        next_pc = uop.pc + 1
-        taken = None
-        if cls == CLS_STORE or cls >= CLS_NOP:  # store, NOP, or CLS_HALT
-            dest_value = None
-        else:
-            dest_value = uop.value
-    return RetireRecord(
-        index=index,
-        pc=uop.pc,
-        opcode=inst.opcode.name,
-        next_pc=next_pc,
-        dest_value=dest_value,
-        mem_addr=uop.mem_addr if inst.is_mem else None,
-        taken=taken,
-    )
-
-
 def oracle_stream(fp: FuzzProgram, max_insts: int
-                  ) -> tuple[list[RetireRecord], Interpreter]:
+                  ) -> tuple[list[tuple], Interpreter]:
     """Execute the program on the reference interpreter."""
     interp = Interpreter(fp.program, fp.memory())
     records = [
-        _record_from_oracle(op, i)
-        for i, op in enumerate(interp.run(max_insts))
+        (op.pc, op.inst.opcode, op.next_pc, op.taken, op.dest_value,
+         op.mem_addr)
+        for op in interp.run(max_insts)
     ]
     return records, interp
 
@@ -134,15 +101,31 @@ def processor_stream(
     max_insts: int,
     invariants: bool = False,
     invariant_every: int = 1,
-) -> tuple[list[RetireRecord], Processor]:
+) -> tuple[list[tuple], Processor]:
     """Execute the program on the cycle-level OoO core, capturing the
     architectural commit stream.  With ``invariants=True`` the per-cycle
     invariant checker is attached (see :mod:`repro.verify.invariants`)."""
     proc = Processor(fp.program, _resolve_config(config), memory=fp.memory())
-    records: list[RetireRecord] = []
+    records: list[tuple] = []
+    append = records.append
 
     def hook(uop, cycle: int) -> None:
-        records.append(_record_from_uop(uop, len(records)))
+        # The oracle's view of the op: a value only for ops that produce
+        # one, an address only for memory ops.
+        inst = uop.inst
+        cls = inst.cls_idx
+        pc = uop.pc
+        if cls == CLS_BRANCH:
+            append((pc, inst.opcode, uop.actual_next_pc, uop.taken,
+                    uop.value if inst.is_call else None, None))
+        elif cls == CLS_LOAD:
+            append((pc, inst.opcode, pc + 1, None, uop.value, uop.mem_addr))
+        elif cls == CLS_STORE:
+            append((pc, inst.opcode, pc + 1, None, None, uop.mem_addr))
+        elif cls >= CLS_NOP:   # NOP or CLS_HALT
+            append((pc, inst.opcode, pc + 1, None, None, None))
+        else:
+            append((pc, inst.opcode, pc + 1, None, uop.value, None))
 
     proc.commit_hook = hook
     if invariants:
@@ -151,29 +134,29 @@ def processor_stream(
     return records, proc
 
 
-def _context(oracle: list[RetireRecord], actual: list[RetireRecord],
-             index: int) -> str:
+def _context(oracle: list[tuple], actual: list[tuple], index: int) -> str:
     lo = max(0, index - CONTEXT_OPS)
     hi = index + 2
-    lines = ["  oracle:"]
-    lines += [f"    {'>>' if r.index == index else '  '} {r.format()}"
-              for r in oracle[lo:hi]]
-    lines.append("  ooo core:")
-    lines += [f"    {'>>' if r.index == index else '  '} {r.format()}"
-              for r in actual[lo:hi]]
+    lines = []
+    for title, stream in (("oracle", oracle), ("ooo core", actual)):
+        lines.append(f"  {title}:")
+        lines += [f"    {'>>' if i == index else '  '} "
+                  f"{RetireRecord._make(r).format(i)}"
+                  for i, r in enumerate(stream[lo:hi], lo)]
     return "\n".join(lines)
 
 
-def diff_streams(oracle: list[RetireRecord], actual: list[RetireRecord]
+def diff_streams(oracle: list[tuple], actual: list[tuple]
                  ) -> Optional[tuple[int, tuple[str, ...]]]:
-    """First (index, mismatching fields) between the two streams, if any."""
-    for o, a in zip(oracle, actual):
-        bad = tuple(f for f in COMPARED_FIELDS
-                    if getattr(o, f) != getattr(a, f))
-        if o.opcode != a.opcode:
-            bad = ("opcode",) + bad
-        if bad:
-            return o.index, bad
+    """First (index, mismatching fields) between the two streams, if any
+    (a stream that is a prefix of the other has none)."""
+    if oracle == actual:
+        return None
+    fields = RetireRecord._fields
+    for index, (o, a) in enumerate(zip(oracle, actual)):
+        if o != a:
+            return index, tuple(fields[i] for i in _REPORT_ORDER
+                                if o[i] != a[i])
     return None
 
 
@@ -184,10 +167,15 @@ def diff_run(
     config_name: str = "",
     invariants: bool = False,
     invariant_every: int = 1,
+    oracle_run: Optional[tuple[list[tuple], Interpreter]] = None,
 ) -> Optional[Divergence]:
-    """Run both sides and return the first divergence (or ``None``)."""
+    """Run both sides and return the first divergence (or ``None``).
+
+    ``oracle_run`` is this program's :func:`oracle_stream` result, when
+    the caller diffs several configs against one oracle run; it is only
+    read."""
     name = config_name or (config if isinstance(config, str) else "custom")
-    oracle, interp = oracle_stream(fp, max_insts)
+    oracle, interp = oracle_run or oracle_stream(fp, max_insts)
     try:
         actual, proc = processor_stream(
             fp, config, max_insts,

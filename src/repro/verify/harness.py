@@ -1,12 +1,13 @@
 """Seed-sweep driver for the differential fuzz harness.
 
-``verify_seed`` builds one fuzz program and differentially executes it
-against every requested core configuration.  On a divergence it greedily
-minimizes the reproducer — dropping whole blocks, then shrinking the
-outer trip count, as long as the divergence (same kind, same config)
-persists — so the report ends with the smallest program that still
-fails.  ``run_verify`` sweeps a seed range, writes one report file per
-failure, and returns an aggregate summary for the CLI / CI job.
+``verify_seed`` builds one fuzz program, runs it once on the oracle, and
+diffs every requested core configuration against that one oracle run.
+On a divergence it greedily minimizes the reproducer — dropping whole
+blocks, then shrinking the outer trip count, as long as the divergence
+(same kind, same config) persists — so the report ends with the
+smallest program that still fails.  ``run_verify`` sweeps a seed range,
+writes one report file per failure, and returns an aggregate summary
+for the CLI / CI job.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .differential import Divergence, diff_run, render_divergence
+from .differential import (Divergence, diff_run, oracle_stream,
+                           render_divergence)
 from .fuzz import FuzzProgram, build_fuzz_program, rebuild
 
 #: Every named config the golden grid covers — each exercises a distinct
@@ -98,13 +100,17 @@ def verify_seed(
     invariant_every: int = 1,
     do_minimize: bool = True,
 ) -> VerifyOutcome:
-    """Differentially execute one fuzz seed on every config."""
+    """Differentially execute one fuzz seed on every config.  The oracle
+    does not depend on the config, so it runs once and every config is
+    diffed against that one run."""
     fp = build_fuzz_program(seed, target_insts=insts // 2)
+    oracle_run = oracle_stream(fp, insts)
     outcome = VerifyOutcome(seed=seed, insts=insts, configs=tuple(configs))
     for name in configs:
         div = diff_run(fp, name, insts, config_name=name,
                        invariants=invariants,
-                       invariant_every=invariant_every)
+                       invariant_every=invariant_every,
+                       oracle_run=oracle_run)
         if div is None:
             continue
         repro = fp

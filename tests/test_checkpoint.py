@@ -528,6 +528,29 @@ class TestEvictionRace:
         assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
         assert snapshot_bytes(store.load(key)) == snapshot_bytes(snap)
 
+    def test_failed_put_back_leaves_no_claim(self, tmp_path, monkeypatch):
+        """A valid claim whose put-back fails is still served, and its
+        claim file does not linger where nothing would reuse it."""
+        import os
+
+        store, key, snap = self._entry(tmp_path)
+        store.save(key, snap)
+        path = store._path(key)
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if ".evict." in str(src):
+                raise OSError("put-back refused")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        recovered = store._evict(path)
+        monkeypatch.undo()
+        assert recovered is not None
+        assert snapshot_bytes(recovered) == snapshot_bytes(snap)
+        assert [p.name for p in path.parent.iterdir()
+                if ".evict." in p.name] == []
+
     def test_concurrent_eviction_stress(self, tmp_path):
         """Many workers loading/saving/corrupting one key concurrently:
         no exceptions, no lingering claim files, and the surviving entry

@@ -52,6 +52,19 @@ def test_determinism_reruns_are_byte_identical():
         [s.to_dict() for s in runs[1].per_core]
 
 
+def test_max_cycles_caps_every_core_clock():
+    """System.run bounds each core's idle jumps by its cycle cap, a
+    jump stored before the run starts included."""
+    system = System([CoreSpec("mcf"), CoreSpec("lbm")], share="llc,dram")
+    system.warm_up(WARMUP)
+    system.run(500)
+    cap = max(core.now for core in system.cores) + 50
+    for core in system.cores:
+        core._wake = cap + 1000
+    system.run(10**9, max_cycles=cap)
+    assert [core.now for core in system.cores] == [cap, cap]
+
+
 # -- N=1 equivalence ---------------------------------------------------------
 
 

@@ -184,6 +184,16 @@ class TestPipelineBehaviour:
         assert stats.cycles <= 510
         assert not proc.halted
 
+    def test_max_cycles_cap_clips_a_stored_wake(self):
+        """An idle jump stored before a capped run starts (as a run under
+        a looser cap can leave one) stops at the new cap."""
+        proc = Processor(build_sum_array(1 << 26, 512), default_system())
+        proc.run(200)
+        cap = proc.now + 5
+        proc._wake = cap + 1000
+        proc.run(10**9, max_cycles=cap)
+        assert proc.now == cap
+
     def test_instruction_budget(self):
         b = ProgramBuilder()
         b.label("spin")

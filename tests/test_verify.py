@@ -12,10 +12,12 @@ import pytest
 from repro.cli import main
 from repro.config import build_named_config
 from repro.core import Processor
+from repro.isa import Interpreter
 from repro.verify import (
     DEFAULT_CONFIGS,
     Divergence,
     InvariantError,
+    RetireRecord,
     attach_invariant_checker,
     build_fuzz_program,
     diff_run,
@@ -26,6 +28,7 @@ from repro.verify import (
     run_verify,
     verify_seed,
 )
+from repro.verify import differential
 from repro.verify.differential import diff_streams
 from repro.verify.harness import minimize
 
@@ -78,15 +81,71 @@ class TestDifferential:
         oracle, _ = oracle_stream(fp, 6000)
         mutated = list(oracle)
         index = len(mutated) // 2
-        from dataclasses import replace
-        mutated[index] = replace(
-            mutated[index],
-            dest_value=0xDEAD, next_pc=mutated[index].next_pc + 1)
+        record = RetireRecord._make(mutated[index])
+        mutated[index] = record._replace(dest_value=0xDEAD,
+                                         next_pc=record.next_pc + 1)
         found = diff_streams(oracle, mutated)
         assert found is not None
         where, fields = found
         assert where == index
         assert "dest_value" in fields and "next_pc" in fields
+
+    def test_record_equals_plain_tuple(self):
+        fp = build_fuzz_program(0, target_insts=1000)
+        oracle, _ = oracle_stream(fp, 2000)
+        assert all(type(r) is tuple for r in oracle)
+        assert RetireRecord._make(oracle[0]) == oracle[0]
+        assert diff_streams(oracle, [RetireRecord._make(r)
+                                     for r in oracle]) is None
+
+    @staticmethod
+    def _diff_perturbed(monkeypatch, perturb):
+        """``diff_run`` on baseline with ``perturb(records, proc)``
+        applied to the core side's result before the diff."""
+        inner = differential.processor_stream
+
+        def perturbed(*args, **kwargs):
+            records, proc = inner(*args, **kwargs)
+            perturb(records, proc)
+            return records, proc
+
+        monkeypatch.setattr(differential, "processor_stream", perturbed)
+        fp = build_fuzz_program(0, target_insts=2000)
+        return diff_run(fp, "baseline", 4000, config_name="baseline")
+
+    def test_dropped_retirement_reports_length(self, monkeypatch):
+        div = self._diff_perturbed(
+            monkeypatch, lambda records, proc: records.pop())
+        assert div is not None and div.kind == "length"
+        assert "oracle=" in div.detail and "core=" in div.detail
+        assert ">>" in div.context   # points at the missing op
+
+    def test_unhalted_core_reports_halt(self, monkeypatch):
+        def unhalt(records, proc):
+            proc.halted = False
+
+        div = self._diff_perturbed(monkeypatch, unhalt)
+        assert div is not None and div.kind == "halt"
+        assert "core halted=False" in div.detail
+
+    def test_corrupt_register_reports_final_regs(self, monkeypatch):
+        def corrupt(records, proc):
+            rename = proc.rename
+            rename.prf.value[rename.commit_rat[5]] ^= 1
+
+        div = self._diff_perturbed(monkeypatch, corrupt)
+        assert div is not None and div.kind == "final_regs"
+        assert "R5:" in div.detail
+
+    def test_corrupt_memory_reports_final_mem(self, monkeypatch):
+        addr = 0x7F_0000
+
+        def corrupt(records, proc):
+            proc.memory.store(addr, proc.memory.load(addr) ^ 1)
+
+        div = self._diff_perturbed(monkeypatch, corrupt)
+        assert div is not None and div.kind == "final_mem"
+        assert f"[{addr:#x}]" in div.detail
 
     @pytest.mark.parametrize("config", DEFAULT_CONFIGS)
     def test_no_divergence_across_modes(self, config):
@@ -189,6 +248,21 @@ class TestHarness:
         outcome = verify_seed(0, insts=4000, configs=("baseline", "rab_cc"))
         assert outcome.ok
         assert outcome.divergences == []
+
+    def test_verify_seed_runs_oracle_once(self, monkeypatch):
+        """The oracle is config-independent: one run per seed serves
+        every config's diff."""
+        calls = []
+        inner = Interpreter.run
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            return inner(self, *args, **kwargs)
+
+        monkeypatch.setattr(Interpreter, "run", counted)
+        outcome = verify_seed(3, insts=2000, configs=DEFAULT_CONFIGS)
+        assert outcome.ok
+        assert len(calls) == 1
 
     def test_minimize_shrinks_reproducer(self):
         """Against a synthetic failure predicate (any program containing
