@@ -37,20 +37,9 @@ per cell, plus the geomean.  Only primary-lane cells (``ff_lanes[0]``)
 enter ``geomean_kips`` and ``two_level_speedup``, keeping those series
 comparable across schema revisions.
 
-Checkpoints and parallel windows (schema 4): the host record gains
-``usable_cpus`` (CPU-affinity aware — ``cpu_count`` alone overstates a
-cgroup-restricted container) and ``load_avg``.  With ``window_jobs``
-set, the document carries a ``window_parallel_speedup`` section: each
-two-level cell is measured in three live-point phases against one
-shared checkpoint store — ``populate`` (store as found; cold for the
-first cell of each workload, cross-cell reuse after), ``warm_serial``
-(every stride restored from the store, ``jobs=1``) and
-``warm_parallel`` (``jobs=window_jobs``) — with per-phase
-``ff``/``translate``/``checkpoint``/``restore``/``detailed`` second
-breakdowns and store hit/miss counts.  The headline ratio is the legacy
-serial two-level ``sim_seconds`` over the warm-parallel wall clock;
-live-point phase results are byte-identical across phases and job
-counts by construction, so the ratios compare equal work.
+Host record (schema 4): ``usable_cpus`` (CPU-affinity aware —
+``cpu_count`` alone overstates a cgroup-restricted container) and
+``load_avg`` sit next to the platform fields.
 """
 
 from __future__ import annotations
@@ -67,6 +56,7 @@ from ..config import SamplingConfig, build_named_config
 from ..core.processor import Processor
 from ..fastpath import FF_LANES, resolve_ff_lane
 from ..workloads import build_workload
+from .parallel import usable_cpus
 
 # Benchmark mode -> named configuration.  "normal" exercises the plain
 # out-of-order fast path, "rab" additionally exercises chain generation,
@@ -101,47 +91,28 @@ FF_LANE_CHOICES = (*FF_LANES, "both")
 def _time_cell(workload: str, config_name: str, instructions: int,
                warmup: int,
                plan: Optional[SamplingConfig] = None,
-               ff_lane: Optional[str] = None,
-               checkpoints=None) -> dict[str, Any]:
-    """One timed simulation: returns KIPS plus raw timing components.
-
-    ``checkpoints`` (a :class:`~repro.fastpath.checkpoint.CheckpointPlan`)
-    runs a sampled cell in live-point mode: warm-up goes through the
-    checkpoint store and the engine checkpoints/fans out the windows.
-    ``sim_seconds`` is then the post-warm-up *wall clock* (checkpoint,
-    restore and fan-out overheads included — the honest figure a user
-    waits for), where the legacy sampled path reports detailed+ff host
-    time.
-    """
+               ff_lane: Optional[str] = None) -> dict[str, Any]:
+    """One timed simulation: returns KIPS plus raw timing components."""
     built = build_workload(workload)
     config = build_named_config(config_name)
     processor = Processor(built.program, config, memory=built.memory,
                          init_regs=built.init_regs)
     processor.ff_lane = ff_lane
-    sampled = plan is not None and plan.is_sampled
-    warm_times = None
     t0 = time.perf_counter()
-    if checkpoints is not None and sampled:
-        from ..fastpath import restore_or_warm_up
-        warm_times = restore_or_warm_up(processor, warmup,
-                                        store=checkpoints.store)
-    elif warmup > 0:
+    if warmup > 0:
         processor.warm_up(warmup)
     t1 = time.perf_counter()
-    if sampled:
+    if plan is not None and plan.is_sampled:
         from ..fastpath import run_two_tier
-        meta = run_two_tier(processor, plan, instructions,
-                            checkpoints=checkpoints)
+        meta = run_two_tier(processor, plan, instructions)
         stats = processor.stats
         detailed_seconds = meta["detailed_seconds"]
         ff_seconds = meta["fast_forward_seconds"]
-        # Legacy sampled cells read the clock only around warm-up (a
-        # pinned accounting contract); checkpointed cells report the
-        # post-warm-up wall clock, overheads included.
-        sim_seconds = (time.perf_counter() - t1 if checkpoints is not None
-                       else detailed_seconds + ff_seconds)
+        # Sampled cells read the clock only around warm-up (a pinned
+        # accounting contract): the timed part is detailed + ff seconds.
+        sim_seconds = detailed_seconds + ff_seconds
         advanced = meta["instructions_advanced"]
-        cell = {
+        return {
             "tier": plan.tier,
             "ff_lane": meta.get("ff_lane", resolve_ff_lane(ff_lane)),
             "committed": stats.committed_insts,
@@ -158,26 +129,6 @@ def _time_cell(workload: str, config_name: str, instructions: int,
                 stats.committed_insts / detailed_seconds / 1000.0, 3)
             if detailed_seconds else 0.0,
         }
-        if checkpoints is not None:
-            cp = meta["checkpoints"]
-            wt = warm_times or {}
-            # Warm-up store time folds into the cell's checkpoint/restore
-            # totals so the phase breakdown covers the whole cell.
-            cell.update({
-                "checkpoint_seconds": round(
-                    cp["checkpoint_seconds"]
-                    + wt.get("checkpoint_seconds", 0.0), 6),
-                "restore_seconds": round(
-                    cp["restore_seconds"] + wt.get("restore_seconds", 0.0), 6),
-                "ff_seconds": round(ff_seconds + wt.get("ff_seconds", 0.0), 6),
-                "window_wall_seconds": round(cp["window_wall_seconds"], 6),
-                "window_jobs": cp["jobs"],
-                "checkpoint_count": cp["count"],
-                "store_hits": cp["store_hits"],
-                "store_misses": cp["store_misses"],
-                "warmup_restored": bool(wt.get("restored")),
-            })
-        return cell
     stats = processor.run(instructions)
     t2 = time.perf_counter()
     sim_seconds = t2 - t1
@@ -195,23 +146,14 @@ def _time_cell(workload: str, config_name: str, instructions: int,
 def measure_cell(workload: str, mode: str, instructions: int = DEFAULT_INSTRUCTIONS,
                  warmup: int = DEFAULT_WARMUP, reps: int = DEFAULT_REPS,
                  plan: Optional[SamplingConfig] = None,
-                 ff_lane: Optional[str] = None,
-                 checkpoints=None) -> dict[str, Any]:
-    """Best-of-``reps`` measurement of one (workload, mode, tier) cell.
-
-    Checkpointed cells force ``reps=1``: the first rep populates the
-    store, so a second rep would measure a different (warm) phase — the
-    ``window_parallel_speedup`` section measures those phases explicitly
-    instead.
-    """
+                 ff_lane: Optional[str] = None) -> dict[str, Any]:
+    """Best-of-``reps`` measurement of one (workload, mode, tier) cell."""
     config_name = MODES[mode]
-    if checkpoints is not None:
-        reps = 1
     best: Optional[dict[str, Any]] = None
     ff_best: Optional[float] = None
     for _ in range(max(1, reps)):
         sample = _time_cell(workload, config_name, instructions, warmup, plan,
-                            ff_lane=ff_lane, checkpoints=checkpoints)
+                            ff_lane=ff_lane)
         if best is None or sample["kips"] > best["kips"]:
             best = sample
         if "ff_seconds" in sample:
@@ -234,15 +176,11 @@ def host_info() -> dict[str, Any]:
 
     ``cpu_count`` is the raw ``os.cpu_count()``; ``usable_cpus`` honours
     the scheduler affinity mask (cgroup/container CPU limits), which is
-    the number that actually bounds window-parallel speedup.  Both are
+    the number that actually bounds process-parallel speedup.  Both are
     recorded so a reader can tell "small machine" from "restricted
     container".  ``load_avg`` captures competing load at measurement
     time (``None`` where the platform has no ``getloadavg``).
     """
-    try:
-        usable = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        usable = os.cpu_count() or 1
     try:
         load_avg = [round(x, 2) for x in os.getloadavg()]
     except (AttributeError, OSError):
@@ -251,7 +189,7 @@ def host_info() -> dict[str, Any]:
         "platform": platform.platform(),
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
-        "usable_cpus": usable,
+        "usable_cpus": usable_cpus(),
         "load_avg": load_avg,
     }
 
@@ -277,8 +215,6 @@ def run_benchmark(workloads: Sequence[str] = DEFAULT_WORKLOADS,
                   tiers: Sequence[str] = DEFAULT_TIERS,
                   plan: Optional[SamplingConfig] = None,
                   ff_lanes: Optional[Sequence[str]] = None,
-                  window_jobs: Optional[int] = None,
-                  checkpoint_dir: Optional[str] = None,
                   progress=None) -> dict[str, Any]:
     """Measure the full grid and assemble the result document.
 
@@ -293,11 +229,6 @@ def run_benchmark(workloads: Sequence[str] = DEFAULT_WORKLOADS,
     document gains a ``jit_speedup`` section; ``ff_lanes[0]`` is the
     primary lane and the only one entering ``geomean_kips`` and
     ``two_level_speedup``.
-
-    ``window_jobs`` (with ``"two-level"`` in ``tiers``) additionally
-    measures the live-point phases against a checkpoint store
-    (``checkpoint_dir`` or a throwaway temp dir) and adds the
-    ``window_parallel_speedup`` section; see the module doc.
     """
     if plan is None:
         plan = SamplingConfig(tier="two-level")
@@ -356,96 +287,7 @@ def run_benchmark(workloads: Sequence[str] = DEFAULT_WORKLOADS,
         doc["two_level_speedup"] = _two_level_speedup(primary_cells, modes)
     if len(set(ff_lanes)) > 1:
         doc["jit_speedup"] = _jit_speedup(results)
-    if window_jobs and "two-level" in tiers:
-        doc["window_parallel_speedup"] = _window_parallel_speedup(
-            primary_cells, workloads, modes,
-            instructions * TWO_LEVEL_SCALE, warmup, plan,
-            jobs=window_jobs, checkpoint_dir=checkpoint_dir,
-            ff_lane=primary, progress=progress)
     return doc
-
-
-def _window_parallel_speedup(results: Sequence[dict[str, Any]],
-                             workloads: Sequence[str],
-                             modes: Sequence[str],
-                             instructions: int, warmup: int,
-                             plan: SamplingConfig, jobs: int,
-                             checkpoint_dir: Optional[str],
-                             ff_lane: Optional[str],
-                             progress=None) -> dict[str, Any]:
-    """Live-point phase measurements over one shared checkpoint store.
-
-    Three phases per two-level cell — ``populate`` (store as found),
-    ``warm_serial`` (``jobs=1``) and ``warm_parallel`` (``jobs=jobs``) —
-    each with the full per-phase second breakdown.  All cells share the
-    store, so later cells of a workload hit the checkpoints earlier
-    cells of *any* mode wrote (warm state is runahead-config
-    independent); the recorded hit/miss counts show that reuse.  The
-    headline ratio divides the legacy serial cell's ``sim_seconds`` by
-    the warm-parallel wall clock; ``warm_speedup`` isolates the store
-    benefit at ``jobs=1``.  Phase ``ff_seconds`` includes warm-up
-    fast-forward, which is exactly what the store eliminates.
-    """
-    import tempfile
-
-    from ..fastpath import CheckpointPlan, CheckpointStore
-
-    serial = {(c["workload"], c["mode"]): c["sim_seconds"]
-              for c in results if c.get("tier") == "two-level"}
-    phase_keys = ("sim_seconds", "ff_seconds", "translate_seconds",
-                  "checkpoint_seconds", "restore_seconds",
-                  "detailed_seconds", "store_hits", "store_misses",
-                  "warmup_restored")
-
-    def _phase(cell: dict[str, Any]) -> dict[str, Any]:
-        return {k: cell[k] for k in phase_keys if k in cell}
-
-    tmp = None
-    if checkpoint_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="repro-ckpt-")
-        checkpoint_dir = tmp.name
-    per_cell: dict[str, Any] = {}
-    try:
-        store = CheckpointStore(checkpoint_dir)
-        phases = (("populate", 1), ("warm_serial", 1), ("warm_parallel", jobs))
-        for workload in workloads:
-            for mode in modes:
-                cell: dict[str, Any] = {"phases": {}}
-                for phase_name, phase_jobs in phases:
-                    measured = measure_cell(
-                        workload, mode, instructions, warmup, reps=1,
-                        plan=plan, ff_lane=ff_lane,
-                        checkpoints=CheckpointPlan(jobs=phase_jobs,
-                                                   store=store))
-                    cell["phases"][phase_name] = _phase(measured)
-                    if progress is not None:
-                        progress(f"{workload:12s} {mode:7s} "
-                                 f"ckpt:{phase_name:13s} "
-                                 f"{measured['sim_seconds']:8.3f}s")
-                base = serial.get((workload, mode))
-                warm = cell["phases"]["warm_serial"]["sim_seconds"]
-                par = cell["phases"]["warm_parallel"]["sim_seconds"]
-                cell["serial_seconds"] = base
-                if base:
-                    cell["warm_speedup"] = round(base / warm, 2) if warm else 0.0
-                    cell["speedup"] = round(base / par, 2) if par else 0.0
-                per_cell[f"{workload}/{mode}"] = cell
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
-    return {
-        "metric": ("legacy serial two-level sim_seconds / "
-                   "warm parallel live-point sim_seconds"),
-        "jobs": jobs,
-        "usable_cpus": host_info()["usable_cpus"],
-        "store_dir": None if tmp is not None else str(checkpoint_dir),
-        "per_cell": per_cell,
-        "geomean_speedup": round(geomean(
-            [c["speedup"] for c in per_cell.values() if "speedup" in c]), 2),
-        "geomean_warm_speedup": round(geomean(
-            [c["warm_speedup"] for c in per_cell.values()
-             if "warm_speedup" in c]), 2),
-    }
 
 
 def _jit_speedup(results: Sequence[dict[str, Any]]) -> dict[str, Any]:

@@ -16,10 +16,7 @@ Cache invalidation follows two rules:
   execution tier and its ramp/window/stride plan), so changing any
   budget addresses different cells rather than silently reusing stale
   ones.  Fully detailed cells keep the bare schema-2 key shape; only
-  non-default tiers append a tier suffix.  Live-point (checkpointed)
-  sampled cells further append ``.lp`` — their estimates carry the same
-  accuracy contract but are not bit-identical to the plain serial
-  two-level path.
+  non-default tiers append a tier suffix.
 
 Instruction budgets default to quick-but-meaningful runs for a
 Python-hosted cycle-level simulator; override with the environment
@@ -50,30 +47,18 @@ DEFAULT_WARMUP = int(os.environ.get("REPRO_BENCH_WARMUP", "12000"))
 Cell = tuple[str, str, bool]
 
 
-def tier_suffix(tier: str, ramp: int, window: int, stride: int,
-                live_point: bool = False) -> str:
+def tier_suffix(tier: str, ramp: int, window: int, stride: int) -> str:
     """Key suffix for non-default execution tiers; empty for fully
-    detailed cells so schema-2-shaped keys stay addressable.
-
-    ``.lp`` marks live-point (checkpointed) cells: their estimates are
-    statistically equivalent to plain two-level cells but not
-    bit-identical (windows restart from restored snapshots), so they
-    address different cache entries.  The fan-out width and store
-    directory are *not* in the suffix — results are byte-identical
-    across jobs and store temperature by construction.
-    """
+    detailed cells so schema-2-shaped keys stay addressable."""
     if not tier or tier == "detailed":
         return ""
-    lp = ".lp" if live_point else ""
-    return f"/{tier}.r{ramp}.w{window}.s{stride}{lp}"
+    return f"/{tier}.r{ramp}.w{window}.s{stride}"
 
 
 def cell_key(workload: str, config_name: str, chain_stats: bool,
              instructions: int, warmup: int, suffix: str = "") -> str:
     """The KEY_SCHEMA=3 cell key: every input that affects a cell's
-    stats, shared verbatim by :class:`ExperimentMatrix`, the farm's
-    result store, and remote clients (byte-equal keys are what make
-    cross-host cache hits sound)."""
+    stats."""
     variant = "+chains" if chain_stats else ""
     return (f"{workload}/{config_name}{variant}"
             f"/{instructions}/w{warmup}{suffix}")
@@ -105,29 +90,12 @@ class ExperimentMatrix:
         cache_path: Optional[str | Path] = "results/experiments.json",
         trace_dir: Optional[str | Path] = None,
         sampling: Optional[SamplingConfig] = None,
-        window_jobs: Optional[int] = None,
-        checkpoint_dir: Optional[str | Path] = None,
     ) -> None:
         self.instructions = instructions
         self.warmup = warmup
         self.sampling = sampling
         if sampling is not None:
             sampling.validate()
-        # Live-point mode for sampled matrices: a window fan-out width
-        # and/or a warm-state store directory (argument beats
-        # REPRO_CKPT_DIR; see repro.fastpath.checkpoint).  Sweep cells
-        # sharing a cache/predictor geometry then restore warm state
-        # from the store instead of re-fast-forwarding.
-        from ..fastpath import CheckpointStore, resolve_checkpoint_dir
-        self.window_jobs = window_jobs
-        resolved = resolve_checkpoint_dir(
-            str(checkpoint_dir) if checkpoint_dir else None)
-        self.checkpoint_dir = resolved
-        sampled = sampling is not None and sampling.is_sampled
-        self._checkpointed = sampled and (window_jobs is not None
-                                          or resolved is not None)
-        self._ckpt_store = (CheckpointStore(resolved)
-                            if self._checkpointed and resolved else None)
         self.cache_path = Path(cache_path) if cache_path else None
         # When set (or via REPRO_TRACE_DIR), every cell simulated
         # *in-process* also writes a Perfetto trace here.  Tracing is
@@ -150,8 +118,7 @@ class ExperimentMatrix:
         if s is None or not s.is_sampled:
             return ""
         return tier_suffix(s.tier, s.ramp_instructions,
-                           s.window_instructions, s.stride_instructions,
-                           live_point=self._checkpointed)
+                           s.window_instructions, s.stride_instructions)
 
     def _key(self, workload: str, config_name: str, chain_stats: bool) -> str:
         return cell_key(workload, config_name, chain_stats,
@@ -197,11 +164,11 @@ class ExperimentMatrix:
             config_name=config_name,
             attach=tracer.attach if tracer is not None else None,
             sampling=self.sampling,
-            checkpoints=self._checkpoint_plan(),
         )
         stats = result.stats.to_dict()
         if result.sampling is not None:
-            stats["sampling"] = _cacheable_sampling(result.sampling)
+            from ..fastpath import scrub_host_keys
+            stats["sampling"] = scrub_host_keys(result.sampling)
         if tracer is not None:
             self._persist_trace(workload, config_name, chain_stats, tracer)
         self.store(workload, config_name, chain_stats, stats)
@@ -218,10 +185,9 @@ class ExperimentMatrix:
         :meth:`repro.multicore.MulticoreResult.to_dict`:
         ``{"per_core": [stats, ...], "shared": {...}}``.
 
-        Multi-core cells are detailed-tier only — the sampled tiers'
-        fast-forward/window machinery checkpoints a single processor and
-        cannot snapshot a shared hierarchy (see
-        :class:`~repro.memory.SharedHierarchyError`).
+        Multi-core cells are detailed-tier only — the sampled tier's
+        fast-forward/window machinery drives a single processor with a
+        private hierarchy (see :class:`~repro.memory.SharedHierarchyError`).
         """
         if config_name not in CONFIG_BUILDERS:
             raise ValueError(f"unknown config {config_name!r}")
@@ -255,16 +221,6 @@ class ExperimentMatrix:
         self._results[key] = payload
         self._dirty = True
         return payload
-
-    def _checkpoint_plan(self):
-        """A fresh :class:`~repro.fastpath.CheckpointPlan` sharing the
-        matrix's store (timings are per-run, the store is per-matrix),
-        or ``None`` when live-point mode is off."""
-        if not self._checkpointed:
-            return None
-        from ..fastpath import CheckpointPlan
-        return CheckpointPlan(jobs=max(1, self.window_jobs or 1),
-                              store=self._ckpt_store)
 
     def _persist_trace(self, workload: str, config_name: str,
                        chain_stats: bool, tracer) -> Path:
@@ -334,17 +290,8 @@ class ExperimentMatrix:
                            s.window_instructions, s.stride_instructions)
         else:
             tier_fields = ("detailed", 0, 0, 0)
-        if self._checkpointed:
-            # Workers reopen the shared store by path; content-addressed
-            # atomic writes make concurrent savers safe, and once one
-            # cell of a geometry has populated the chain, every later
-            # cell restores instead of re-fast-forwarding.
-            ckpt_fields = (max(1, self.window_jobs or 1),
-                           self.checkpoint_dir or "")
-        else:
-            ckpt_fields = (0, "")
         specs = [CellSpec(w, c, chains, self.instructions, self.warmup,
-                          *tier_fields, *ckpt_fields)
+                          *tier_fields)
                  for w, c, chains in missing]
         stats_list = simulate_cells(specs, jobs=jobs, progress=progress)
         for (workload, config_name, chain_stats), stats in zip(missing,
@@ -425,27 +372,6 @@ class ExperimentMatrix:
         finally:
             tmp.unlink(missing_ok=True)
         self._dirty = False
-
-
-#: Host-environment keys scrubbed from cached sampling metadata (the
-#: same set ``repro.fastpath.stats_fingerprint`` drops): wall-clock,
-#: the fast-forward lane tag, the window fan-out width, and the
-#: checkpoint-store temperature.  None of these affect simulated state,
-#: and all of them vary run-to-run on the host.
-_HOST_SAMPLING_KEYS = frozenset(
-    {"ff_lane", "jobs", "store_hits", "store_misses"})
-
-
-def _cacheable_sampling(meta: dict[str, Any]) -> dict[str, Any]:
-    """Sampling metadata minus host-environment fields (recursively), so
-    cached cells stay deterministic: parallel == serial, warm store ==
-    cold store, rerun == cached."""
-    def scrub(value):
-        if isinstance(value, dict):
-            return {k: scrub(v) for k, v in value.items()
-                    if "seconds" not in k and k not in _HOST_SAMPLING_KEYS}
-        return value
-    return scrub(meta)
 
 
 def all_workloads() -> list[str]:

@@ -22,7 +22,8 @@ serial ones.  ``jobs=1`` (or a single spec) short-circuits to in-process
 execution with no pool overhead.
 
 Worker count resolution (:func:`resolve_jobs`): explicit argument, else
-``REPRO_BENCH_JOBS``, else ``os.cpu_count()``.
+``REPRO_BENCH_JOBS``, else the CPUs this process may run on
+(:func:`usable_cpus`).
 """
 
 from __future__ import annotations
@@ -38,10 +39,7 @@ class CellSpec(NamedTuple):
     ``tier`` selects the execution tier (``"detailed"`` or
     ``"two-level"``); the ramp/window/stride plan only matters for
     sampled cells and stays zero otherwise, so detailed specs pickle
-    and compare exactly as before.  ``window_jobs``/``checkpoint_dir``
-    (both falsy by default) switch sampled cells into live-point mode:
-    the worker builds a :class:`~repro.fastpath.CheckpointPlan` and the
-    cell's warm state round-trips through the shared on-disk store.
+    and compare exactly as before.
 
     ``cores`` > 1 makes the spec a multi-core cell (detailed tier
     only): ``workloads`` names the per-core workload list
@@ -61,8 +59,6 @@ class CellSpec(NamedTuple):
     ramp: int = 0
     window: int = 0
     stride: int = 0
-    window_jobs: int = 0
-    checkpoint_dir: str = ""
     cores: int = 1
     share: str = "llc,dram"
     workloads: str = ""
@@ -91,38 +87,26 @@ class SimSpec(NamedTuple):
         return f"{self.workload}/{self.name}" if self.name else self.workload
 
 
-class WindowSpec(NamedTuple):
-    """One measured window of a checkpointed two-tier run: a warm-state
-    snapshot plus the ramp/window burst to run from it.
-
-    The snapshot (a ``Processor.snapshot()`` dict) and the program/config
-    pickle to the worker; the worker rebuilds a fresh processor, restores
-    the warm state, and measures the burst.  Workers return raw
-    ``SimStats`` field payloads so the engine can merge them — windows
-    are independent by construction, which is what makes the serial and
-    parallel orderings byte-identical.
-    """
-
-    program: Any   # a Program; pickled to the worker
-    config: Any    # a SystemConfig; pickled to the worker
-    snapshot: dict
-    ramp: int
-    window: int
-    max_cycles: Optional[int] = None
+def usable_cpus() -> int:
+    """CPUs this process may run on: the scheduler affinity mask where
+    the platform has one (a cpuset-restricted container grants fewer
+    CPUs than ``os.cpu_count()`` reports), else ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count: argument, else ``REPRO_BENCH_JOBS``, else cpu count."""
+    """Worker count: argument, else ``REPRO_BENCH_JOBS``, else
+    :func:`usable_cpus`."""
     if jobs is None:
-        jobs = int(os.environ.get("REPRO_BENCH_JOBS", "0")) or (
-            os.cpu_count() or 1)
+        jobs = int(os.environ.get("REPRO_BENCH_JOBS", "0")) or usable_cpus()
     return max(1, int(jobs))
 
 
 def simulate_cell(spec: CellSpec) -> dict[str, Any]:
-    """Simulate one matrix cell (the worker entry point — also the farm
-    service's default runner, so cells computed remotely are byte-
-    identical to local ones)."""
+    """Simulate one matrix cell (the worker entry point)."""
     from ..config import SamplingConfig, build_named_config
     from ..core import simulate
 
@@ -152,13 +136,6 @@ def simulate_cell(spec: CellSpec) -> dict[str, Any]:
         sampling = SamplingConfig(
             tier=spec.tier, ramp_instructions=spec.ramp,
             window_instructions=spec.window, stride_instructions=spec.stride)
-    checkpoints = None
-    if sampling is not None and (spec.window_jobs or spec.checkpoint_dir):
-        from ..fastpath import CheckpointPlan, CheckpointStore
-        store = (CheckpointStore(spec.checkpoint_dir)
-                 if spec.checkpoint_dir else None)
-        checkpoints = CheckpointPlan(jobs=max(1, spec.window_jobs or 1),
-                                     store=store)
     result = simulate(
         spec.workload,
         config,
@@ -166,12 +143,11 @@ def simulate_cell(spec: CellSpec) -> dict[str, Any]:
         warmup_instructions=spec.warmup,
         config_name=spec.config_name,
         sampling=sampling,
-        checkpoints=checkpoints,
     )
     stats = result.stats.to_dict()
     if result.sampling is not None:
-        from .experiments import _cacheable_sampling
-        stats["sampling"] = _cacheable_sampling(result.sampling)
+        from ..fastpath import scrub_host_keys
+        stats["sampling"] = scrub_host_keys(result.sampling)
     return stats
 
 
@@ -186,44 +162,6 @@ def _simulate_spec(spec: SimSpec) -> dict[str, Any]:
         config_name=spec.name,
     )
     return result.stats.to_dict()
-
-
-def _simulate_window(spec: WindowSpec) -> dict[str, Any]:
-    """Run one detailed ramp+window burst from a warm-state snapshot.
-
-    Runs identically in-process (``jobs=1``) and in a pool worker; the
-    returned payload carries the burst's full ``SimStats`` fields plus
-    the measured-window deltas the sampled estimators need.
-    """
-    import time
-
-    from ..core.processor import Processor
-
-    t0 = time.perf_counter()
-    proc = Processor(spec.program, spec.config)
-    proc.restore(spec.snapshot)
-    now0 = proc.now
-    committed0 = proc.committed
-    proc.run(spec.ramp, max_cycles=spec.max_cycles)
-    c0 = proc.now
-    i0 = proc.committed
-    miss0 = proc.hierarchy.demand_llc_misses()
-    proc.run(spec.window, max_cycles=spec.max_cycles)
-    done = proc.committed - i0
-    stats = {name: getattr(proc.stats, name)
-             for name in type(proc.stats).__dataclass_fields__}
-    # Each window clock starts at the snapshot's `now`; report deltas so
-    # merged cycles are a sum of burst lengths, not absolute end times.
-    stats["cycles"] = proc.now - now0
-    return {
-        "stats": stats,
-        "committed": proc.committed - committed0,
-        "m_cycles": proc.now - c0,
-        "m_insts": done,
-        "m_misses": proc.hierarchy.demand_llc_misses() - miss0,
-        "halted": proc.halted,
-        "host_seconds": time.perf_counter() - t0,
-    }
 
 
 def _fan_out(
@@ -264,19 +202,6 @@ def simulate_cells(
 ) -> list[dict[str, Any]]:
     """Simulate matrix cells across processes; stats dicts in cell order."""
     return _fan_out(simulate_cell, cells, jobs, progress)
-
-
-def simulate_windows(
-    specs: Sequence[WindowSpec],
-    jobs: Optional[int] = None,
-    progress: Optional[Callable[[WindowSpec, int, int], None]] = None,
-) -> list[dict[str, Any]]:
-    """Run measured windows across processes, in window order.
-
-    ``jobs=1`` runs the exact same worker function in-process, so a
-    serial run is the byte-identical reference for any parallel one.
-    """
-    return _fan_out(_simulate_window, specs, jobs, progress)
 
 
 def simulate_configs(

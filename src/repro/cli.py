@@ -80,6 +80,39 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _known(what: str, names: Sequence[str]) -> Callable[[str], str]:
+    """argparse ``type=`` accepting one name out of ``names``."""
+    def check(text: str) -> str:
+        if text not in names:
+            raise argparse.ArgumentTypeError(
+                f"unknown {what} {text!r} (choose from {', '.join(names)})")
+        return text
+    return check
+
+
+def _known_list(what: str, names: Sequence[str]) -> Callable[[str], str]:
+    """argparse ``type=`` accepting a comma-separated list of names."""
+    check = _known(what, names)
+
+    def check_list(text: str) -> str:
+        for name in text.split(","):
+            check(name.strip())
+        return text
+    return check_list
+
+
+_workload = _known("workload", workload_names())
+_workload_list = _known_list("workload", workload_names())
+_config = _known("config", tuple(CONFIG_BUILDERS))
+_config_list = _known_list("config", tuple(CONFIG_BUILDERS))
+
 _PLAN_DEFAULTS = SamplingConfig()
 
 
@@ -105,13 +138,13 @@ def _add_tier_args(sub, tiers: Sequence[str] = SAMPLING_TIERS) -> None:
 
 
 def _sampling_from_args(args) -> Optional[SamplingConfig]:
+    """The two-level plan the tier flags describe, or ``None`` for the
+    detailed tier (``--tier both`` on bench-throughput samples too)."""
     if args.tier == "detailed":
         return None
-    plan = SamplingConfig(tier=args.tier, ramp_instructions=args.ramp,
+    return SamplingConfig(tier="two-level", ramp_instructions=args.ramp,
                           window_instructions=args.window,
                           stride_instructions=args.stride)
-    plan.validate()
-    return plan
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -124,15 +157,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list workloads and configurations")
 
     run = sub.add_parser("run", help="simulate one workload")
-    run.add_argument("workload",
+    run.add_argument("workload", type=_workload_list,
                      help="workload name; with --cores N, a comma-"
                           "separated list runs mixed workloads (one per "
                           "core), a single name runs N copies")
-    run.add_argument("--config", default="baseline",
+    run.add_argument("--config", default="baseline", type=_config_list,
                      help="named config; with --cores N, optionally a "
                           "comma-separated per-core list")
-    run.add_argument("--instructions", type=int, default=10_000)
-    run.add_argument("--warmup", type=int, default=12_000)
+    run.add_argument("--instructions", type=_positive_int, default=10_000)
+    run.add_argument("--warmup", type=_non_negative_int, default=12_000)
     run.add_argument("--cores", type=_positive_int, default=1, metavar="N",
                      help="simulate N cores on a shared memory system "
                           "(repro.multicore); 1 = the legacy single-core "
@@ -149,51 +182,40 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="fast-forward lane for warm-up and two-level "
                           "gaps (default: REPRO_FF_LANE env, then 'jit')")
     _add_tier_args(run)
-    run.add_argument("--window-jobs", type=_positive_int, default=None,
-                     metavar="N",
-                     help="two-level live-point mode: fan measured windows "
-                          "out over N worker processes (results are "
-                          "byte-identical for any N)")
-    run.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                     help="warm-state checkpoint store for two-level runs "
-                          "(default: REPRO_CKPT_DIR env, else no store); "
-                          "either flag or the env var enables live-point "
-                          "mode")
 
     compare = sub.add_parser("compare",
                              help="run several configs on one workload")
-    compare.add_argument("workload")
-    compare.add_argument("--configs", nargs="+",
+    compare.add_argument("workload", type=_workload)
+    compare.add_argument("--configs", nargs="+", type=_config,
                          default=["baseline", "runahead", "rab_cc", "hybrid"])
-    compare.add_argument("--instructions", type=int, default=10_000)
-    compare.add_argument("--warmup", type=int, default=12_000)
+    compare.add_argument("--instructions", type=_positive_int,
+                         default=10_000)
+    compare.add_argument("--warmup", type=_non_negative_int, default=12_000)
     compare.add_argument("--jobs", type=int, default=None,
-                         help="worker processes (default: all cores)")
+                         help="worker processes (default: all usable CPUs)")
 
     figure = sub.add_parser("figure", help="regenerate one paper figure")
     figure.add_argument("id", choices=sorted(FIGURES))
-    figure.add_argument("--instructions", type=int, default=None)
+    figure.add_argument("--instructions", type=_positive_int, default=None)
 
     suite = sub.add_parser("suite", help="regenerate all figures/tables")
-    suite.add_argument("--instructions", type=int, default=None)
+    suite.add_argument("--instructions", type=_positive_int, default=None)
     suite.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: all cores)")
-    suite.add_argument("--remote", default=None, metavar="URL",
-                       help="simulate missing cells on a 'repro serve' "
-                            "farm instead of in-process (results and the "
-                            "on-disk cache are byte-identical either way)")
+                       help="worker processes (default: all usable CPUs)")
 
     bench = sub.add_parser(
         "bench-throughput",
         help="measure simulator throughput (KIPS) and track regressions")
-    bench.add_argument("--workloads", nargs="+",
+    bench.add_argument("--workloads", nargs="+", type=_workload,
                        default=list(bench_mod.DEFAULT_WORKLOADS))
     bench.add_argument("--modes", nargs="+", choices=sorted(bench_mod.MODES),
                        default=list(bench_mod.MODES))
-    bench.add_argument("--instructions", type=int,
+    bench.add_argument("--instructions", type=_positive_int,
                        default=bench_mod.DEFAULT_INSTRUCTIONS)
-    bench.add_argument("--warmup", type=int, default=bench_mod.DEFAULT_WARMUP)
-    bench.add_argument("--reps", type=int, default=bench_mod.DEFAULT_REPS)
+    bench.add_argument("--warmup", type=_non_negative_int,
+                       default=bench_mod.DEFAULT_WARMUP)
+    bench.add_argument("--reps", type=_positive_int,
+                       default=bench_mod.DEFAULT_REPS)
     bench.add_argument("--ff-lane", choices=bench_mod.FF_LANE_CHOICES,
                        default=None,
                        help="fast-forward lane for two-level cells; "
@@ -201,16 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "jit_speedup section (default: REPRO_FF_LANE "
                             "env, then 'jit')")
     _add_tier_args(bench, tiers=(*SAMPLING_TIERS, "both"))
-    bench.add_argument("--window-jobs", type=_positive_int, default=None,
-                       metavar="N",
-                       help="also measure live-point checkpoint phases "
-                            "with N-way window parallelism and record the "
-                            "window_parallel_speedup section (two-level "
-                            "tier only)")
-    bench.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                       help="checkpoint store for --window-jobs phases "
-                            "(default: a throwaway temp dir, so the "
-                            "populate phase measures a cold store)")
     bench.add_argument("--output", default="BENCH_sim_throughput.json")
     bench.add_argument("--before", default=None, metavar="JSON",
                        help="embed a prior run as the 'before' section")
@@ -224,11 +236,11 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify",
         help="differentially fuzz the OoO core against the oracle")
-    verify.add_argument("--seeds", type=int, default=50,
+    verify.add_argument("--seeds", type=_positive_int, default=50,
                         help="number of consecutive fuzz seeds to run")
     verify.add_argument("--seed-start", type=int, default=0,
                         help="first seed (use with --seeds 1 to replay)")
-    verify.add_argument("--insts", type=int, default=20_000,
+    verify.add_argument("--insts", type=_positive_int, default=20_000,
                         help="per-run instruction budget for both sides")
     verify.add_argument("--invariants", action="store_true",
                         help="attach the per-step invariant checker")
@@ -246,11 +258,11 @@ def _build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser(
         "trace",
         help="run one workload with event tracing and export the trace")
-    trace.add_argument("workload")
+    trace.add_argument("workload", type=_workload)
     trace.add_argument("--config", default="hybrid",
                        choices=sorted(CONFIG_BUILDERS))
-    trace.add_argument("--instructions", type=int, default=10_000)
-    trace.add_argument("--warmup", type=int, default=12_000)
+    trace.add_argument("--instructions", type=_positive_int, default=10_000)
+    trace.add_argument("--warmup", type=_non_negative_int, default=12_000)
     trace.add_argument("--events", nargs="+", choices=sorted(EVENT_KINDS),
                        default=None, metavar="KIND",
                        help=f"event kinds to record (default: all of "
@@ -268,36 +280,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a sensitivity sweep")
     sweep.add_argument("name", choices=sorted(CANNED_SWEEPS))
-    sweep.add_argument("--benches", nargs="+", default=None)
-    sweep.add_argument("--instructions", type=int, default=None)
-    sweep.add_argument("--warmup", type=int, default=None)
+    sweep.add_argument("--benches", nargs="+", type=_workload, default=None)
+    sweep.add_argument("--instructions", type=_positive_int, default=None)
+    sweep.add_argument("--warmup", type=_non_negative_int, default=None)
     sweep.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: all cores)")
-    sweep.add_argument("--remote", default=None, metavar="URL",
-                       help="fetch the sweep table from a 'repro serve' "
-                            "farm instead of running it in-process")
-
-    serve = sub.add_parser(
-        "serve",
-        help="run the experiment farm: an HTTP service that coalesces "
-             "cell requests, shards them over a worker pool, and persists "
-             "results in a content-addressed store")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8077,
-                       help="listen port (0 binds an ephemeral port)")
-    serve.add_argument("--store", default="results/farm", metavar="DIR",
-                       help="result-store root directory ('' disables "
-                            "persistence; default: results/farm)")
-    serve.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: all cores)")
-    serve.add_argument("--instructions", type=int, default=None,
-                       help="default budget for figure/sweep/trace "
-                            "endpoints (cell requests carry their own)")
-    serve.add_argument("--warmup", type=int, default=None)
-    serve.add_argument("--batch-delay", type=float, default=0.05,
-                       metavar="SECONDS",
-                       help="admission window: how long to keep draining "
-                            "newly queued cells into the current batch")
+                       help="worker processes (default: all usable CPUs)")
 
     return parser
 
@@ -344,12 +331,7 @@ def _cmd_run_multicore(args) -> int:
 
     if args.tier != "detailed":
         print("error: --cores > 1 supports only the detailed tier "
-              "(sampling/checkpointing assume a private hierarchy)",
-              file=sys.stderr)
-        return 2
-    if args.window_jobs is not None or args.checkpoint_dir is not None:
-        print("error: --window-jobs/--checkpoint-dir are single-core "
-              "two-level options", file=sys.stderr)
+              "(sampling assumes a private hierarchy)", file=sys.stderr)
         return 2
     workloads = [w.strip() for w in args.workload.split(",") if w.strip()]
     if len(workloads) == 1:
@@ -427,28 +409,12 @@ def _cmd_run(args) -> int:
               "(single-core tracing is `repro trace`)", file=sys.stderr)
         return 2
     sampling = _sampling_from_args(args)
-    checkpoints = None
-    if sampling is not None:
-        from .fastpath import make_checkpoint_plan
-        checkpoints = make_checkpoint_plan(args.window_jobs,
-                                           args.checkpoint_dir)
-    elif args.window_jobs is not None or args.checkpoint_dir is not None:
-        print("error: --window-jobs/--checkpoint-dir require "
-              "--tier two-level (the detailed tier is never checkpointed)",
-              file=sys.stderr)
-        return 2
-    try:
-        config = build_named_config(args.config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    result = simulate(args.workload, config,
+    result = simulate(args.workload, build_named_config(args.config),
                       max_instructions=args.instructions,
                       warmup_instructions=args.warmup,
                       config_name=args.config,
                       sampling=sampling,
-                      ff_lane=args.ff_lane,
-                      checkpoints=checkpoints)
+                      ff_lane=args.ff_lane)
     tier = f" [{sampling.tier}]" if sampling is not None else ""
     print(f"{args.workload} / {args.config}{tier}:")
     _print_stats(result.stats, result.energy)
@@ -466,18 +432,6 @@ def _cmd_run(args) -> int:
         print(f"  sampled estimates   ipc={est['ipc']:.4f} "
               f"mpki={est['mpki']:.2f} "
               f"runahead-share={100 * est['runahead_share']:.1f}%")
-        if "checkpoints" in meta:
-            cp = meta["checkpoints"]
-            store = (f"store {cp['store_hits']} hit / "
-                     f"{cp['store_misses']} miss"
-                     if cp["store_hits"] or cp["store_misses"]
-                     else "no store")
-            print(f"  checkpoints         {cp['count']} live-points, "
-                  f"{cp['jobs']} window job(s), {store}")
-            print(f"  checkpoint time     "
-                  f"save={cp['checkpoint_seconds']:.3f}s "
-                  f"restore={cp['restore_seconds']:.3f}s "
-                  f"windows={cp['window_wall_seconds']:.3f}s")
     return 0
 
 
@@ -524,13 +478,8 @@ def _cmd_figure(args) -> int:
 
 def _cmd_suite(args) -> int:
     matrix = _matrix(args.instructions)
-    if args.remote:
-        from .farm import FarmClient
-        simulated = FarmClient(args.remote).prefetch_matrix(
-            matrix, figures.figure_matrix_cells(), progress=print_progress)
-    else:
-        simulated = matrix.prefetch(figures.figure_matrix_cells(),
-                                    jobs=args.jobs, progress=print_progress)
+    simulated = matrix.prefetch(figures.figure_matrix_cells(),
+                                jobs=args.jobs, progress=print_progress)
     if simulated:
         print(f"simulated {simulated} missing cells")
     for fig_id, (extractor, filename) in FIGURES.items():
@@ -542,32 +491,22 @@ def _cmd_suite(args) -> int:
 
 
 def _print_phase_table(doc) -> None:
-    """Per-phase wall-time breakdown of every two-level measurement:
-    legacy grid cells plus (when measured) the live-point checkpoint
-    phases, one row each."""
-    rows = []
-    for cell in doc.get("results", []):
-        if cell.get("tier") != "two-level":
-            continue
-        rows.append((f"{cell['workload']}/{cell['mode']}",
-                     f"legacy/{cell.get('ff_lane', '?')}", cell))
-    for name, cell in doc.get("window_parallel_speedup",
-                              {}).get("per_cell", {}).items():
-        for phase_name, phase in cell.get("phases", {}).items():
-            rows.append((name, phase_name, phase))
+    """Per-phase wall-time breakdown of every two-level measurement, one
+    row per cell and fast-forward lane."""
+    rows = [cell for cell in doc.get("results", [])
+            if cell.get("tier") == "two-level"]
     if not rows:
         return
     print("\nper-phase seconds (two-level):")
-    print(f"{'cell':22s} {'phase':14s} {'ff':>7s} {'translate':>9s} "
-          f"{'ckpt':>7s} {'restore':>7s} {'detailed':>8s} {'total':>7s}")
-    for name, phase_name, data in rows:
-        print(f"{name:22s} {phase_name:14s} "
-              f"{data.get('ff_seconds', 0.0):7.3f} "
-              f"{data.get('translate_seconds', 0.0):9.3f} "
-              f"{data.get('checkpoint_seconds', 0.0):7.3f} "
-              f"{data.get('restore_seconds', 0.0):7.3f} "
-              f"{data.get('detailed_seconds', 0.0):8.3f} "
-              f"{data.get('sim_seconds', 0.0):7.3f}")
+    print(f"{'cell':22s} {'lane':6s} {'ff':>7s} {'translate':>9s} "
+          f"{'detailed':>8s} {'total':>7s}")
+    for cell in rows:
+        print(f"{cell['workload'] + '/' + cell['mode']:22s} "
+              f"{cell.get('ff_lane', '?'):6s} "
+              f"{cell.get('ff_seconds', 0.0):7.3f} "
+              f"{cell.get('translate_seconds', 0.0):9.3f} "
+              f"{cell.get('detailed_seconds', 0.0):8.3f} "
+              f"{cell.get('sim_seconds', 0.0):7.3f}")
 
 
 def _cmd_bench_throughput(args) -> int:
@@ -579,26 +518,16 @@ def _cmd_bench_throughput(args) -> int:
         return 0
     tiers = (("detailed", "two-level") if args.tier == "both"
              else (args.tier,))
-    plan = SamplingConfig(tier="two-level", ramp_instructions=args.ramp,
-                          window_instructions=args.window,
-                          stride_instructions=args.stride)
-    if "two-level" in tiers:
-        plan.validate()
     if args.ff_lane == "both":
         ff_lanes = ("jit", "interp")
     elif args.ff_lane:
         ff_lanes = (args.ff_lane,)
     else:
         ff_lanes = None
-    if args.window_jobs is not None and "two-level" not in tiers:
-        print("error: --window-jobs requires a two-level tier "
-              "(--tier two-level or --tier both)", file=sys.stderr)
-        return 2
     doc = bench_mod.run_benchmark(
         workloads=args.workloads, modes=args.modes,
         instructions=args.instructions, warmup=args.warmup, reps=args.reps,
-        tiers=tiers, plan=plan, ff_lanes=ff_lanes,
-        window_jobs=args.window_jobs, checkpoint_dir=args.checkpoint_dir,
+        tiers=tiers, plan=_sampling_from_args(args), ff_lanes=ff_lanes,
         progress=print)
     if args.before:
         doc = bench_mod.attach_before(doc, bench_mod.load_results(args.before))
@@ -616,12 +545,6 @@ def _cmd_bench_throughput(args) -> int:
             f"{cell}={x:.2f}x" for cell, x in jit["per_cell"].items())
             + f"  geomean={jit['geomean']:.2f}x")
     _print_phase_table(doc)
-    if "window_parallel_speedup" in doc:
-        wps = doc["window_parallel_speedup"]
-        print(f"window-parallel speedup (jobs={wps['jobs']}, "
-              f"{wps['usable_cpus']} usable cpu(s)): "
-              f"geomean={wps['geomean_speedup']:.2f}x "
-              f"(warm-store alone {wps['geomean_warm_speedup']:.2f}x)")
     print(f"written to {path}")
     if args.check:
         failures = bench_mod.check_regression(
@@ -691,43 +614,23 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.remote:
-        from .analysis.report import Table
-        from .farm import FarmClient
-        doc = FarmClient(args.remote).sweep(
-            args.name, benches=args.benches,
-            instructions=args.instructions, warmup=args.warmup)
-        table = Table(title=doc["title"], headers=doc["headers"],
-                      rows=[tuple(row) for row in doc["rows"]],
-                      notes=list(doc["notes"]))
-    else:
-        table = run_named_sweep(args.name, benches=args.benches,
-                                instructions=args.instructions,
-                                warmup=args.warmup, jobs=args.jobs)
+    table = run_named_sweep(args.name, benches=args.benches,
+                            instructions=args.instructions,
+                            warmup=args.warmup, jobs=args.jobs)
     path = write_report(table, f"sweep_{args.name}.txt")
     print(render(table))
     print(f"\nwritten to {path}")
     return 0
 
 
-def _cmd_serve(args) -> int:
-    import asyncio
-
-    from . import farm
-
-    try:
-        asyncio.run(farm.serve(
-            host=args.host, port=args.port,
-            store_dir=args.store or None, jobs=args.jobs,
-            instructions=args.instructions, warmup=args.warmup,
-            batch_delay=args.batch_delay))
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "tier", "detailed") != "detailed":
+        try:
+            _sampling_from_args(args).validate()
+        except ValueError as exc:
+            parser.error(f"sampling plan: {exc}")
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":
@@ -746,8 +649,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_trace(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
     return 1
 
 

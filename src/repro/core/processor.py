@@ -228,9 +228,7 @@ class Processor:
         self.ff_lane: Optional[str] = None
         self.ff_translate_seconds = 0.0
         # Cumulative instructions executed by fast_forward since
-        # construction.  With committed == 0 this is the exact stream
-        # position of the architectural state — the provenance the
-        # checkpoint store keys on (repro.fastpath.checkpoint).
+        # construction (part of the warm-state snapshot).
         self.ff_instructions = 0
 
     def set_cycle_hook(self, hook) -> None:
@@ -385,7 +383,7 @@ class Processor:
         return self.fast_forward(instructions, lane=lane)
 
     # ------------------------------------------------------------------
-    # Warm-state snapshots (repro.fastpath.checkpoint)
+    # Warm-state snapshots (compared by repro.fastpath.snapshot_bytes)
     # ------------------------------------------------------------------
 
     def snapshot(self) -> dict:
@@ -398,13 +396,13 @@ class Processor:
         memory words, the full cache/DRAM/prefetcher hierarchy, the
         branch predictor, and the stream-position bookkeeping.  Run
         statistics (``SimStats``, energy counters, runahead-policy
-        interval history) are deliberately *not* part of the format:
-        a restored processor measures from zero, which is what the
-        live-point engine's per-window delta merge needs.
+        interval history) are deliberately *not* part of the format.
+        The lane-equivalence gate compares two lanes' snapshots through
+        :func:`repro.fastpath.snapshot_bytes`.
 
         Refuses shared-hierarchy cores: the hierarchy snapshot assumes
         sole ownership of the LLC/DRAM/prefetcher state, and capturing a
-        shared complex per-core would alias it into N checkpoints.
+        shared complex per-core would alias it into N copies.
         """
         if self.hierarchy.is_shared:
             raise SharedHierarchyError(
@@ -425,38 +423,6 @@ class Processor:
             "hierarchy": self.hierarchy.snapshot(),
             "predictor": self.predictor.snapshot_state(),
         }
-
-    def restore(self, snap: dict) -> None:
-        """Load a :meth:`snapshot` into this processor.
-
-        Intended target: a freshly constructed processor for the same
-        program and geometry (the live-point window workers).  State
-        outside the snapshot format — stats, energy counters, policy
-        interval history — keeps its current values, so restoring onto a
-        fresh processor yields a measure-from-zero replica of the
-        snapshotted architectural + warm state.
-
-        Like :meth:`snapshot`, refuses shared-hierarchy cores — a
-        restore would clobber LLC/DRAM state other cores are using.
-        """
-        if self.hierarchy.is_shared:
-            raise SharedHierarchyError(
-                "Processor.restore() requires a private memory "
-                "hierarchy; core %d shares its LLC/DRAM complex"
-                % self.core_id)
-        self.sync_architectural()
-        self.memory._words = dict(snap["memory"])
-        self.memory.default_fill = snap["memory_fill"]
-        self.rename.reset_to_values(list(snap["regs"]))
-        self.now = snap["now"]
-        self.seq = snap["seq"]
-        self.committed = snap["committed"]
-        self._last_progress = self.now
-        self.fetch.redirect(snap["pc"], self.now)
-        self.halted = snap["halted"]
-        self.ff_instructions = snap["ff_instructions"]
-        self.hierarchy.restore(snap["hierarchy"])
-        self.predictor.restore_state(snap["predictor"])
 
     # ------------------------------------------------------------------
     # Main loop

@@ -63,7 +63,6 @@ def simulate(
     attach: Optional[Callable[[Processor], None]] = None,
     sampling: Optional[SamplingConfig] = None,
     ff_lane: Optional[str] = None,
-    checkpoints: Optional[object] = None,
 ) -> SimulationResult:
     """Run one workload on one configuration and return stats + energy.
 
@@ -82,37 +81,20 @@ def simulate(
     ``ff_lane`` selects the fast-forward lane (``"interp"`` or
     ``"jit"``) used for warm-up and two-level gaps; ``None`` resolves
     via ``REPRO_FF_LANE`` and then the ``"jit"`` default.
-
-    ``checkpoints`` (a :class:`~repro.fastpath.checkpoint.CheckpointPlan`)
-    runs the two-level tier in live-point mode: warm-up restores from
-    the checkpoint store when a matching warm snapshot exists, and the
-    engine checkpoints every stride boundary and fans the measured
-    windows out over ``checkpoints.jobs`` processes.  Only meaningful
-    with a sampled tier — the detailed tier is always exact and never
-    checkpointed.
     """
     if config is None:
         config = default_system()
-    sampled = sampling is not None and sampling.is_sampled
-    if checkpoints is not None and not sampled:
-        raise ValueError(
-            "checkpoints require the two-level tier (pass a sampled "
-            "SamplingConfig); the detailed tier stays exact and unsampled")
     program, memory, init_regs = _resolve_workload(workload)
     processor = Processor(program, config, memory=memory, init_regs=init_regs)
     processor.ff_lane = ff_lane
-    if checkpoints is not None:
-        from ..fastpath.checkpoint import restore_or_warm_up
-        restore_or_warm_up(processor, warmup_instructions,
-                           store=checkpoints.store)
-    elif warmup_instructions > 0:
+    if warmup_instructions > 0:
         processor.warm_up(warmup_instructions)
     if attach is not None:
         attach(processor)
-    if sampled:
+    if sampling is not None and sampling.is_sampled:
         from ..fastpath import run_two_tier
         meta = run_two_tier(processor, sampling, max_instructions,
-                            max_cycles=max_cycles, checkpoints=checkpoints)
+                            max_cycles=max_cycles)
         stats = processor.stats
     else:
         meta = None

@@ -1,49 +1,33 @@
 """Two-tier simulation: functional fast-forward + sampled detailed windows.
 
 ``engine`` drives the alternation (detailed window -> architectural
-handoff -> batched functional gap); ``checkpoint`` adds warm-state
-snapshots, the content-addressed checkpoint store, and the live-point
-mode that fans measured windows out across processes; ``validate``
-states and checks the sampled tier's accuracy contract.  See
-docs/simulator.md, "Two-tier simulation" and "Checkpoints & parallel
-windows".
+handoff -> batched functional gap); ``blockjit`` is the compiled
+fast-forward lane; ``validate`` states and checks the sampled tier's
+accuracy contract and holds the identity checks (stats fingerprints,
+canonical warm-state snapshot bytes) the lane gates compare.  See
+docs/simulator.md, "Two-tier simulation".
 """
 
 from .blockjit import FF_LANES, resolve_ff_lane
-from .checkpoint import (
-    CKPT_SCHEMA,
-    CheckpointPlan,
-    CheckpointStore,
-    checkpoint_key,
-    make_checkpoint_plan,
-    resolve_checkpoint_dir,
-    restore_or_warm_up,
-    snapshot_bytes,
-    snapshot_digest,
-)
-from .engine import merge_window_stats, run_two_tier
+from .engine import run_two_tier
 from .validate import (
     SAMPLING_TOLERANCES,
     check_sampling_error,
     runahead_share,
+    scrub_host_keys,
+    snapshot_bytes,
+    snapshot_digest,
     stats_fingerprint,
 )
 
 __all__ = [
-    "CKPT_SCHEMA",
-    "CheckpointPlan",
-    "CheckpointStore",
     "FF_LANES",
     "SAMPLING_TOLERANCES",
     "check_sampling_error",
-    "checkpoint_key",
-    "make_checkpoint_plan",
-    "merge_window_stats",
-    "resolve_checkpoint_dir",
     "resolve_ff_lane",
-    "restore_or_warm_up",
     "run_two_tier",
     "runahead_share",
+    "scrub_host_keys",
     "snapshot_bytes",
     "snapshot_digest",
     "stats_fingerprint",

@@ -57,7 +57,6 @@ def run_two_tier(
     max_instructions: int,
     max_cycles: Optional[int] = None,
     ff_lane: Optional[str] = None,
-    checkpoints: Optional[Any] = None,
 ) -> dict[str, Any]:
     """Advance ``max_instructions`` through alternating detailed bursts
     and functional fast-forward gaps; returns the sampling metadata.
@@ -71,25 +70,8 @@ def run_two_tier(
     processor's configured default.  Block-translation host time (jit
     lane) lands inside ``fast_forward_seconds`` and is also broken out
     as ``translate_seconds``.
-
-    ``checkpoints`` (a :class:`~repro.fastpath.checkpoint.CheckpointPlan`)
-    switches the run to live-point mode: one fast-forward pass snapshots
-    the warm state at every stride boundary, and each detailed burst
-    runs from its snapshot on a fresh processor — so bursts are
-    independent and fan out over ``checkpoints.jobs`` worker processes,
-    and snapshots persist in ``checkpoints.store`` for reuse by later
-    runs.  Serial (``jobs=1``) and parallel live-point runs are
-    byte-identical; live-point and the serial legacy path below are
-    *statistically* equivalent, not bit-equal (legacy bursts inherit
-    in-flight timing state across segments, live-point bursts start from
-    a clean clock).  ``checkpoints=None`` keeps the legacy path
-    bit-for-bit unchanged.
     """
     plan.validate()
-    if checkpoints is not None:
-        return _run_two_tier_checkpointed(
-            processor, plan, max_instructions, max_cycles, ff_lane,
-            checkpoints)
     ramp = plan.ramp_instructions
     window = plan.window_instructions
     stride = plan.stride_instructions
@@ -172,212 +154,5 @@ def run_two_tier(
             "runahead_share": (
                 share_cycles / total_detailed_cycles
                 if total_detailed_cycles else 0.0),
-        },
-    }
-
-
-# Dict-valued stats fields that merge per-key (everything else is a
-# summable counter, a label string, or handled explicitly).
-_MERGE_DICT_FIELDS = ("llc_misses_by_kind", "dram_by_kind", "energy_events")
-
-
-def merge_window_stats(payloads: list[dict[str, Any]]):
-    """Merge per-window ``SimStats`` field payloads into one ``SimStats``.
-
-    Integer counters sum, dict counters merge per key, chain analytics
-    sum field-wise, and the label strings take the first non-empty value
-    (all windows share a workload/config anyway).  ``energy_report`` is
-    dropped — the caller recomputes energy from the merged
-    ``energy_events`` and cycle count.  Merge order follows window order,
-    so the result is independent of which process ran which window.
-    """
-    from ..core.stats import ChainAnalysis, SimStats
-
-    merged = SimStats()
-    chain_fields = tuple(ChainAnalysis.__dataclass_fields__)
-    for payload in payloads:
-        for name in SimStats.__dataclass_fields__:
-            if name in ("workload", "config_name"):
-                if not getattr(merged, name) and payload.get(name):
-                    setattr(merged, name, payload[name])
-            elif name in _MERGE_DICT_FIELDS:
-                target = getattr(merged, name)
-                for key, value in payload.get(name, {}).items():
-                    target[key] = target.get(key, 0) + value
-            elif name == "energy_report":
-                continue
-            elif name == "chains":
-                chains = payload.get(name)
-                if chains is not None:
-                    target = merged.chains
-                    for fname in chain_fields:
-                        setattr(target, fname,
-                                getattr(target, fname) + getattr(chains, fname))
-            else:
-                setattr(merged, name,
-                        getattr(merged, name) + payload.get(name, 0))
-    return merged
-
-
-def _run_two_tier_checkpointed(
-    processor,
-    plan: SamplingConfig,
-    max_instructions: int,
-    max_cycles: Optional[int],
-    ff_lane: Optional[str],
-    ckpt,
-) -> dict[str, Any]:
-    """Live-point two-tier run: checkpoint every stride boundary, then
-    fan the detailed bursts out over independent workers.
-
-    Phase 1 advances the driving processor purely functionally, taking a
-    warm-state snapshot at each stride boundary — or restoring one from
-    the checkpoint store when the (program, geometry, base-state,
-    position) key hits, which is what collapses repeated-run
-    fast-forward time to restore cost.  Phase 2 runs each ramp+window
-    burst from its snapshot on a fresh processor (in-process when
-    ``jobs=1``, across a process pool otherwise) and merges the per-
-    window stats deltas; ``max_cycles`` caps each window's own clock.
-    The store is bypassed entirely unless the processor's history is
-    pure fast-forward (``committed == 0``) — detailed execution leaves
-    state the key cannot describe.
-    """
-    from ..analysis.parallel import WindowSpec, simulate_windows
-    from .blockjit import resolve_ff_lane
-    from .checkpoint import checkpoint_key, snapshot_digest
-
-    ramp = plan.ramp_instructions
-    window = plan.window_instructions
-    stride = plan.stride_instructions
-    perf = time.perf_counter
-    store = ckpt.store
-    hook = getattr(processor, "_ckpt_hook", None)
-
-    ff_seconds = 0.0
-    ckpt_seconds = 0.0
-    restore_seconds = 0.0
-    store_hits = 0
-    store_misses = 0
-    storable = store is not None and processor.committed == 0
-
-    t0 = perf()
-    entry = processor.snapshot()
-    base_digest = snapshot_digest(entry) if storable else ""
-    ckpt_seconds += perf() - t0
-    entry_ff = entry["ff_instructions"]
-    if hook is not None:
-        hook("save", 0, False)
-
-    snaps = [] if entry["halted"] else [entry]
-    pos = stride
-    while snaps and pos < max_instructions and not processor.halted:
-        key = ""
-        snap = None
-        if storable:
-            key = checkpoint_key(processor.program, processor.config,
-                                 base_digest, pos)
-            t0 = perf()
-            snap = store.load(key)
-            restore_seconds += perf() - t0
-        if snap is not None:
-            t0 = perf()
-            processor.restore(snap)
-            restore_seconds += perf() - t0
-            store_hits += 1
-            if hook is not None:
-                hook("restore", pos, True)
-        else:
-            if storable:
-                store_misses += 1
-            # Fast-forward the remaining distance to this boundary (the
-            # full stride, unless a store hit jumped the processor ahead).
-            gap = pos - (processor.ff_instructions - entry_ff)
-            t0 = perf()
-            skipped = processor.fast_forward(gap, lane=ff_lane)
-            ff_seconds += perf() - t0
-            t0 = perf()
-            snap = processor.snapshot()
-            persisted = storable and skipped == gap and not snap["halted"]
-            if persisted:
-                store.save(key, snap)
-            ckpt_seconds += perf() - t0
-            if hook is not None:
-                hook("save", pos, persisted)
-        if snap["halted"]:
-            break  # hit HALT inside the gap: no burst starts there
-        snaps.append(snap)
-        pos += stride
-
-    specs = []
-    for index, snap in enumerate(snaps):
-        remaining = max_instructions - index * stride
-        if remaining <= 0:
-            break
-        burst_ramp = min(ramp, remaining)
-        burst_window = min(window, remaining - burst_ramp)
-        specs.append(WindowSpec(
-            program=processor.program, config=processor.config,
-            snapshot=snap, ramp=burst_ramp, window=burst_window,
-            max_cycles=max_cycles))
-
-    t0 = perf()
-    results = simulate_windows(specs, jobs=ckpt.jobs)
-    window_wall = perf() - t0
-
-    detailed_seconds = sum(r["host_seconds"] for r in results)
-    detailed_insts = sum(r["committed"] for r in results)
-    m_cycles = sum(r["m_cycles"] for r in results)
-    m_insts = sum(r["m_insts"] for r in results)
-    m_misses = sum(r["m_misses"] for r in results)
-    if results:
-        merged = merge_window_stats([r["stats"] for r in results])
-        processor.stats = merged
-        share_cycles = merged.cycles_in_rab + merged.cycles_in_traditional
-        total_detailed_cycles = merged.cycles
-    else:
-        share_cycles = 0
-        total_detailed_cycles = 0
-
-    ff_pos = processor.ff_instructions - entry_ff
-    advanced = ff_pos if processor.halted else max_instructions
-    ipc_est = m_insts / m_cycles if m_cycles else 0.0
-    ckpt.timings = {
-        "checkpoint_seconds": ckpt_seconds,
-        "restore_seconds": restore_seconds,
-        "window_wall_seconds": window_wall,
-    }
-    return {
-        "tier": plan.tier,
-        "ff_lane": resolve_ff_lane(ff_lane,
-                                   getattr(processor, "ff_lane", None)),
-        "translate_seconds": getattr(processor, "ff_translate_seconds", 0.0),
-        "ramp_instructions": ramp,
-        "window_instructions": window,
-        "stride_instructions": stride,
-        "windows": len(results),
-        "instructions_advanced": advanced,
-        "detailed_instructions": detailed_insts,
-        "fast_forward_instructions": ff_pos,
-        "detailed_fraction": (
-            detailed_insts / advanced if advanced else 0.0),
-        "detailed_seconds": detailed_seconds,
-        "fast_forward_seconds": ff_seconds,
-        "estimated_total_cycles": (
-            round(advanced / ipc_est) if ipc_est else total_detailed_cycles),
-        "estimates": {
-            "ipc": ipc_est,
-            "mpki": 1000.0 * m_misses / m_insts if m_insts else 0.0,
-            "runahead_share": (
-                share_cycles / total_detailed_cycles
-                if total_detailed_cycles else 0.0),
-        },
-        "checkpoints": {
-            "count": len(snaps),
-            "jobs": ckpt.jobs,
-            "store_hits": store_hits,
-            "store_misses": store_misses,
-            "checkpoint_seconds": ckpt_seconds,
-            "restore_seconds": restore_seconds,
-            "window_wall_seconds": window_wall,
         },
     }

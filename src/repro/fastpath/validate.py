@@ -19,11 +19,17 @@ runahead share 0.087 absolute.  Each gate is asserted to bite by
 tests/test_fastpath.py.  EXPERIMENTS.md states which figures may rely
 on sampling under this contract (sim-throughput sweeps) and which must
 stay fully detailed (all committed paper figures).
+
+The module also holds the equality checks the identity gates use:
+:func:`stats_fingerprint` for run payloads and :func:`snapshot_bytes`
+for warm-state snapshots.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import pickle
 from typing import Any, Mapping, Optional
 
 #: Documented accuracy contract of tier="two-level" at the default plan.
@@ -46,32 +52,69 @@ def runahead_share(stats: Mapping[str, Any]) -> float:
     return stats.get("runahead_cycle_fraction", 0.0)
 
 
+def scrub_host_keys(value: Any) -> Any:
+    """``value`` minus every host-environment key, recursively: the
+    ``*seconds*`` timings and the fast-forward lane tag.  Neither
+    affects simulated state and both vary run to run, so cached
+    sampling metadata and :func:`stats_fingerprint` drop them.
+    Mappings become dicts and lists/tuples become lists, the shapes a
+    JSON round trip gives back."""
+    if isinstance(value, Mapping):
+        return {k: scrub_host_keys(v) for k, v in value.items()
+                if "seconds" not in k and k != "ff_lane"}
+    if isinstance(value, (list, tuple)):
+        return [scrub_host_keys(v) for v in value]
+    return value
+
+
 def stats_fingerprint(stats: Mapping[str, Any],
                       sampling: Optional[Mapping[str, Any]] = None) -> str:
     """Canonical JSON blob of a run's deterministic payload.
 
-    Strips every host-environment key (``*seconds*`` timings, the
-    fast-forward lane tag, the worker count, and checkpoint-store
-    hit/miss bookkeeping — all recursively), then serializes with sorted
-    keys — so two runs that simulated the same thing produce equal
-    fingerprints regardless of wall-clock, lane, store temperature, or
-    worker scheduling.  This is the comparison the serial-vs-parallel
-    byte-identity CI gate and the lane-identity tests use.
+    Strips every host-environment key (:func:`scrub_host_keys`), then
+    serializes with sorted keys — so two runs that simulated the same
+    thing produce equal fingerprints regardless of wall-clock or lane.
+    The lane-identity tests and the multi-core determinism gate compare
+    these.
     """
-    host_keys = {"ff_lane", "jobs", "store_hits", "store_misses"}
-
-    def scrub(value):
-        if isinstance(value, Mapping):
-            return {k: scrub(v) for k, v in value.items()
-                    if "seconds" not in k and k not in host_keys}
-        if isinstance(value, (list, tuple)):
-            return [scrub(v) for v in value]
-        return value
-
-    payload: dict[str, Any] = {"stats": scrub(stats)}
+    payload: dict[str, Any] = {"stats": scrub_host_keys(stats)}
     if sampling is not None:
-        payload["sampling"] = scrub(sampling)
+        payload["sampling"] = scrub_host_keys(sampling)
     return json.dumps(payload, sort_keys=True)
+
+
+# Fixed serialization order of the hierarchy snapshot dict.
+_HIERARCHY_KEYS = (
+    "l1i", "l1d", "llc", "llc_misses", "llc_accesses",
+    "ifetch_llc_misses", "fills", "mshr_rejections", "controller",
+    "prefetcher",
+)
+
+
+def snapshot_bytes(snap: dict) -> bytes:
+    """Canonical serialization of a ``Processor.snapshot()``.
+
+    Containers whose iteration order is semantic (cache sets in LRU
+    order, stream tables, the MSHR heap) keep their order; containers
+    whose order is an execution artifact (the memory word dict) are
+    sorted.  Equal warm states therefore serialize to equal bytes
+    whichever fast-forward lane built them — the lane-equivalence gate
+    in tests/test_warmup_parity.py compares these.
+    """
+    canon = (
+        snap["pc"], snap["regs"],
+        tuple(sorted(snap["memory"].items())),
+        snap["memory_fill"], snap["now"], snap["seq"], snap["committed"],
+        snap["halted"], snap["ff_instructions"],
+        tuple((key, snap["hierarchy"][key]) for key in _HIERARCHY_KEYS),
+        snap["predictor"],
+    )
+    return pickle.dumps(canon, protocol=4)
+
+
+def snapshot_digest(snap: dict) -> str:
+    """SHA-256 of the canonical snapshot serialization."""
+    return hashlib.sha256(snapshot_bytes(snap)).hexdigest()
 
 
 def check_sampling_error(

@@ -83,7 +83,7 @@ class BranchPredictor:
         self._ras_sp = sp
 
     def snapshot_state(self) -> tuple:
-        """Complete predictor state for warm-state checkpoints: all three
+        """Complete predictor state for warm-state snapshots: all three
         counter tables, the GHR, the BTB (sorted by PC so the serialized
         form is independent of insertion order — the jit lane's batched
         BTB writes insert in a different order than the interp lane's
@@ -105,23 +105,6 @@ class BranchPredictor:
             (st.cond_predictions, st.cond_mispredicts, st.btb_misses,
              st.ras_predictions),
         )
-
-    def restore_state(self, snap: tuple) -> None:
-        gshare, bimodal, chooser, ghr, btb, ras, ras_sp, stats = snap
-        if (len(gshare) != len(self._gshare)
-                or len(bimodal) != len(self._bimodal)
-                or len(chooser) != len(self._chooser)):
-            raise ValueError("predictor snapshot has different table sizes")
-        self._gshare = bytearray(gshare)
-        self._bimodal = bytearray(bimodal)
-        self._chooser = bytearray(chooser)
-        self.ghr = ghr
-        self._btb = dict(btb)
-        self._ras = list(ras)
-        self._ras_sp = ras_sp
-        st = self.stats
-        (st.cond_predictions, st.cond_mispredicts, st.btb_misses,
-         st.ras_predictions) = stats
 
     def repair(self, pc: int, inst: Instruction, taken: bool,
                snapshot: PredictorSnapshot) -> None:

@@ -171,10 +171,7 @@ class Cache:
         first), the MRU fast-path key, and the stats counters.
 
         The format is position-independent data (ints/bools only), so it
-        pickles, digests, and compares across processes; line identity is
-        not preserved (``restore`` builds fresh :class:`CacheLine`
-        objects), which is invisible to the simulator — nothing compares
-        lines by ``id``.
+        pickles, digests, and compares across processes.
         """
         st = self.stats
         return (
@@ -188,34 +185,6 @@ class Cache:
             (st.hits, st.misses, st.fill_hits, st.evictions, st.writebacks,
              st.invalidations),
         )
-
-    def restore(self, snap: tuple) -> None:
-        """Rebuild the arrays from a :meth:`snapshot` (same geometry)."""
-        sets, mru_key, stats = snap
-        if len(sets) != self.num_sets:
-            raise ValueError(
-                f"{self.config.name}: snapshot has {len(sets)} sets, "
-                f"cache has {self.num_sets}")
-        self._sets = []
-        resident = 0
-        mru_line = None
-        for entries in sets:
-            cache_set: OrderedDict[int, CacheLine] = OrderedDict()
-            for addr, ready, dirty, prefetched, referenced in entries:
-                line = CacheLine(ready, prefetched=prefetched)
-                line.dirty = dirty
-                line.referenced = referenced
-                cache_set[addr] = line
-                if addr == mru_key:
-                    mru_line = line
-            resident += len(entries)
-            self._sets.append(cache_set)
-        self._resident = resident
-        self._mru_key = mru_key if mru_line is not None else -1
-        self._mru_line = mru_line
-        st = self.stats
-        (st.hits, st.misses, st.fill_hits, st.evictions, st.writebacks,
-         st.invalidations) = stats
 
     # -- introspection -----------------------------------------------------------
 

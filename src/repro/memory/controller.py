@@ -69,22 +69,6 @@ class MemoryController:
              s.activates, s.busiest_wait, tuple(sorted(s.by_kind.items()))),
         )
 
-    def restore(self, snap: tuple) -> None:
-        inflight, full_delays, queue_wait, channels, stats = snap
-        self._inflight = list(inflight)
-        heapq.heapify(self._inflight)
-        self.queue_full_delays = full_delays
-        self.total_queue_wait = queue_wait
-        for ch, (banks, bus_free) in zip(self.dram.channels, channels):
-            ch.bus_free = bus_free
-            for bank, (next_free, open_row) in zip(ch.banks, banks):
-                bank.next_free = next_free
-                bank.open_row = open_row
-        s = self.dram.stats
-        (s.reads, s.writes, s.row_hits, s.row_misses, s.row_conflicts,
-         s.activates, s.busiest_wait, by_kind) = stats
-        s.by_kind = dict(by_kind)
-
     @property
     def stats(self):
         return self.dram.stats

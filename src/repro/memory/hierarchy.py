@@ -23,7 +23,6 @@ kind; MPKI from demand LLC misses.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,7 +70,7 @@ class MemoryHierarchy:
         self.controller = self.shared.controller
         self.prefetcher = self.shared.prefetcher
         # Traffic accounting: per-core dicts owned by the complex's
-        # CoreAccount, aliased here (restore() must update in place).
+        # CoreAccount, aliased here.
         self.llc_misses: dict[str, int] = self._acct.llc_misses
         self.llc_accesses: dict[str, int] = self._acct.llc_accesses
         self._line_shift = config.llc.line_bytes.bit_length() - 1
@@ -433,11 +432,10 @@ class MemoryHierarchy:
         """Everything the hierarchy carries between bursts: all three
         cache arrays in LRU order, the traffic accounting, the MSHR fill
         heap, the DRAM controller (bank rows, reservations, stats), and
-        the stream prefetcher.  Plain data only — pickles, digests, and
-        round-trips through :meth:`restore` exactly (see
-        ``repro.fastpath.checkpoint``).  Only meaningful for a privately
-        owned complex; Processor.snapshot refuses shared hierarchies
-        before reaching this."""
+        the stream prefetcher.  Plain data only, so it pickles and
+        compares (see ``repro.fastpath.snapshot_bytes``).  Only
+        meaningful for a privately owned complex; Processor.snapshot
+        refuses shared hierarchies before reaching this."""
         return {
             "l1i": self.l1i.snapshot(),
             "l1d": self.l1d.snapshot(),
@@ -451,23 +449,6 @@ class MemoryHierarchy:
             "prefetcher": (None if self.prefetcher is None
                            else self.prefetcher.snapshot()),
         }
-
-    def restore(self, snap: dict) -> None:
-        self.l1i.restore(snap["l1i"])
-        self.l1d.restore(snap["l1d"])
-        self.llc.restore(snap["llc"])
-        # In-place: these dicts are aliases of the complex's CoreAccount.
-        self.llc_misses.clear()
-        self.llc_misses.update(dict(snap["llc_misses"]))
-        self.llc_accesses.clear()
-        self.llc_accesses.update(dict(snap["llc_accesses"]))
-        self.ifetch_llc_misses = snap["ifetch_llc_misses"]
-        self._fills = list(snap["fills"])
-        heapq.heapify(self._fills)
-        self.mshr_rejections = snap["mshr_rejections"]
-        self.controller.restore(snap["controller"])
-        if self.prefetcher is not None and snap["prefetcher"] is not None:
-            self.prefetcher.restore(snap["prefetcher"])
 
     # -- reporting ----------------------------------------------------------------
 

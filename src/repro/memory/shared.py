@@ -48,7 +48,7 @@ CORE_KINDS = ("demand", "store", "runahead", "wrongpath")
 
 class SharedHierarchyError(RuntimeError):
     """An operation assumed sole ownership of memory state that is
-    actually shared with other cores (snapshot/restore, invariants)."""
+    actually shared with other cores (snapshots, invariants)."""
 
 
 class CoreAccount:
@@ -181,7 +181,7 @@ class SharedLLC:
 
     @property
     def is_shared(self) -> bool:
-        """True when sole-ownership assumptions (snapshot/restore,
+        """True when sole-ownership assumptions (snapshots,
         invariant sweeps) no longer hold for any single connected core."""
         return self._mc or self._external_controller
 

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .events import EVENT_KINDS, EVENT_SCHEMAS, FARM_EVENT_KINDS, \
-    FARM_EVENT_SCHEMAS, EventTrace, TraceEvent, validate_event, \
-    validate_farm_event
-from .metrics import Metric, MetricsRegistry, default_registry, farm_registry
+from .events import EVENT_KINDS, EVENT_SCHEMAS, EventTrace, TraceEvent, \
+    validate_event
+from .metrics import Metric, MetricsRegistry, default_registry
 from .perfetto import (export_perfetto, export_perfetto_multicore,
                        write_perfetto)
 from .sampler import OccupancySample, OccupancySampler
@@ -33,8 +32,6 @@ __all__ = [
     "EVENT_KINDS",
     "EVENT_SCHEMAS",
     "EventTrace",
-    "FARM_EVENT_KINDS",
-    "FARM_EVENT_SCHEMAS",
     "Metric",
     "MetricsRegistry",
     "OccupancySample",
@@ -45,10 +42,8 @@ __all__ = [
     "default_registry",
     "export_perfetto",
     "export_perfetto_multicore",
-    "farm_registry",
     "run_traced",
     "validate_event",
-    "validate_farm_event",
     "write_perfetto",
 ]
 

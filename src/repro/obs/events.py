@@ -88,15 +88,6 @@ EVENT_SCHEMAS: dict[str, dict[str, tuple[type, ...]]] = {
         "length": (int,),           # instructions covered by the region
         "loop": (bool,),            # region closes a back edge
     },
-    # Live-point checkpointing (two-level tier with a CheckpointPlan).
-    "ckpt.save": {
-        "position": (int,),         # stride boundary (instructions from entry)
-        "store": (bool,),           # persisted to the on-disk store
-    },
-    "ckpt.restore": {
-        "position": (int,),
-        "store": (bool,),           # True: store hit; False: in-memory reuse
-    },
     # Multi-core shared-memory interference (repro.multicore): emitted by
     # the SharedLLC complex via its mc_hook, onto the shared trace.
     "mc.cross_evict": {
@@ -114,52 +105,6 @@ EVENT_SCHEMAS: dict[str, dict[str, tuple[type, ...]]] = {
 }
 
 EVENT_KINDS: tuple[str, ...] = tuple(sorted(EVENT_SCHEMAS))
-
-# Farm service events (repro.farm): the serving-layer counterpart of the
-# simulation schemas above.  These are host-side lifecycle events — they
-# carry no simulated-cycle timestamp and never enter an EventTrace; the
-# farm streams them to clients over the progress endpoint and validates
-# every emission against this table so the wire format stays stable.
-FARM_EVENT_SCHEMAS: dict[str, dict[str, tuple[type, ...]]] = {
-    # Cell lifecycle (cell = the KEY_SCHEMA cell key being served).
-    "farm.queued": {"cell": (str,)},        # new work, awaiting admission
-    "farm.coalesced": {"cell": (str,)},     # joined an in-flight run
-    "farm.hit": {"cell": (str,), "source": (str,)},  # "store" | "memo"
-    "farm.admitted": {"cell": (str,), "batch": (int,)},
-    "farm.requeued": {"cell": (str,), "attempt": (int,)},  # worker crash
-    "farm.done": {"cell": (str,), "attempts": (int,)},
-    "farm.error": {"cell": (str,), "message": (str,)},
-    # Job lifecycle (job = one client request, possibly many cells).
-    "farm.job_done": {"job": (str,), "cells": (int,), "ok": (bool,)},
-}
-
-FARM_EVENT_KINDS: tuple[str, ...] = tuple(sorted(FARM_EVENT_SCHEMAS))
-
-
-def validate_farm_event(event: Mapping[str, Any]) -> None:
-    """Raise ``ValueError`` unless a farm event dict (``{"event": kind,
-    **payload}``) matches its kind's schema exactly."""
-    kind = event.get("event")
-    schema = FARM_EVENT_SCHEMAS.get(kind)
-    if schema is None:
-        raise ValueError(f"unknown farm event kind {kind!r}")
-    payload = {k: v for k, v in event.items() if k != "event"}
-    missing = schema.keys() - payload.keys()
-    extra = payload.keys() - schema.keys()
-    if missing or extra:
-        raise ValueError(
-            f"{kind}: payload fields mismatch "
-            f"(missing={sorted(missing)}, extra={sorted(extra)})"
-        )
-    for field_name, types in schema.items():
-        value = payload[field_name]
-        if type(value) not in types:
-            raise ValueError(
-                f"{kind}.{field_name}: expected "
-                f"{'/'.join(t.__name__ for t in types)}, "
-                f"got {type(value).__name__} ({value!r})"
-            )
-
 
 @dataclass(frozen=True, slots=True)
 class TraceEvent:

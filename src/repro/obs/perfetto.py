@@ -100,11 +100,6 @@ def _convert(event: TraceEvent) -> Optional[dict[str, Any]]:
         # Translation costs host time, not simulated cycles, so it
         # renders as an instant at the gap's cycle position.
         return _instant(TID_FRONTEND, "ff_translate", cycle, data)
-    if kind in ("ckpt.save", "ckpt.restore"):
-        # Checkpointing is host work between segments; render as an
-        # instant labelled with the stride position.
-        name = "ckpt_save" if kind == "ckpt.save" else "ckpt_restore"
-        return _instant(TID_FRONTEND, name, cycle, data)
     if kind == "mc.cross_evict":
         name = ("pollution_evict" if data["kind"] == "prefetch"
                 else "cross_evict")

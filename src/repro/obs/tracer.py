@@ -28,9 +28,6 @@ fdp_window         ``StreamPrefetcher._feedback``
 ff.block_translate ``Processor._ff_translate_hook`` (plain attribute: the
                    jit fast-forward lane looks it up with ``getattr``
                    and passes it to the translator)
-ckpt.save /        ``Processor._ckpt_hook`` (plain attribute: the
-ckpt.restore       live-point engine looks it up with ``getattr`` and
-                   fires it at each stride-boundary snapshot or restore)
 =================  ========================================================
 
 Occupancy sampling additionally installs a cycle hook via
@@ -241,24 +238,6 @@ class Tracer:
                      pc=pc, length=length, loop=loop)
 
             self._shadow(proc, "_ff_translate_hook", block_translate)
-
-        if "ckpt.save" in kinds or "ckpt.restore" in kinds:
-            # Same plain-attribute pattern as the translate hook: the
-            # live-point engine fetches this with getattr(..., None) and
-            # fires it once per stride-boundary snapshot/restore.
-            save_on = "ckpt.save" in kinds
-            restore_on = "ckpt.restore" in kinds
-
-            def ckpt(action: str, position: int, store: bool) -> None:
-                if action == "save":
-                    if save_on:
-                        emit("ckpt.save", proc.now,
-                             position=position, store=store)
-                elif restore_on:
-                    emit("ckpt.restore", proc.now,
-                         position=position, store=store)
-
-            self._shadow(proc, "_ckpt_hook", ckpt)
 
         if self.sampler is not None:
             proc.set_cycle_hook(self.sampler.on_cycle)

@@ -183,22 +183,6 @@ class StreamPrefetcher:
              st.throttle_ups, st.throttle_downs),
         )
 
-    def restore(self, snap: tuple) -> None:
-        streams, lru_clock, level, interval, stats = snap
-        self.streams = [
-            _Stream(last_line, direction, confidence, next_prefetch,
-                    active=active, lru=lru, core=core)
-            for (last_line, direction, confidence, next_prefetch,
-                 active, lru, core) in streams
-        ]
-        self._lru_clock = lru_clock
-        self._level = level
-        (self._interval_issued, self._interval_useful,
-         self._interval_unused) = interval
-        st = self.stats
-        (st.issued, st.useful, st.evicted_unused, st.late,
-         st.throttle_ups, st.throttle_downs) = stats
-
     # -- FDP feedback ------------------------------------------------------------
 
     def record_issued(self, count: int) -> None:

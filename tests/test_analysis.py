@@ -362,17 +362,21 @@ class TestHostKeyScrub:
         assert "lane" not in keys[0]
 
     def test_cacheable_sampling_scrubs_host_keys_recursively(self):
-        from repro.analysis.experiments import _cacheable_sampling
+        from repro.fastpath import scrub_host_keys
         meta = {
             "windows": 3,
             "ff_lane": "jit",
             "ff_seconds": 1.25,
-            "estimates": {"ipc": 0.5},
-            "checkpoints": {"count": 2, "jobs": 4, "store_hits": 1,
-                            "store_misses": 2, "checkpoint_seconds": 0.1},
+            "estimates": {"ipc": 0.5, "translate_seconds": 0.1},
         }
-        assert _cacheable_sampling(meta) == {
+        assert scrub_host_keys(meta) == {
             "windows": 3,
             "estimates": {"ipc": 0.5},
-            "checkpoints": {"count": 2},
+        }
+        # Lists and tuples are walked too (and come back as lists, the
+        # shape a JSON round trip gives).
+        nested = {"per_window": ({"ipc": 0.4, "detailed_seconds": 0.2},
+                                 [{"ff_lane": "interp", "mpki": 1.0}])}
+        assert scrub_host_keys(nested) == {
+            "per_window": [{"ipc": 0.4}, [{"mpki": 1.0}]],
         }

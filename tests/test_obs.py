@@ -101,7 +101,7 @@ def test_untraced_processor_carries_no_obs_attributes():
     shadow_points = [
         (proc, ("_step", "_enter_traditional", "_enter_rab",
                 "_exit_runahead", "_generate_chain",
-                "_ff_translate_hook", "_ckpt_hook")),
+                "_ff_translate_hook")),
         (proc.fetch, ("redirect",)),
         (proc.chain_cache, ("lookup",)),
         (proc.hierarchy, ("_issue_prefetches",)),
@@ -128,8 +128,7 @@ def test_detach_restores_untraced_state():
     tracer.detach()
     assert "redirect" not in vars(proc.fetch)
     for name in ("_step", "_exit_runahead", "_generate_chain",
-                 "_enter_traditional", "_enter_rab", "_ff_translate_hook",
-                 "_ckpt_hook"):
+                 "_enter_traditional", "_enter_rab", "_ff_translate_hook"):
         assert name not in vars(proc)
     assert "request" not in vars(proc.hierarchy.controller)
     assert "_feedback" not in vars(proc.hierarchy.prefetcher)
@@ -232,78 +231,6 @@ def test_ff_block_translate_silent_on_interp_lane():
              attach=tracer.attach, sampling=plan, ff_lane="interp")
     assert tracer.trace.counts["ff.block_translate"] == 0
     tracer.detach()
-
-
-def test_ckpt_seams_fire(tmp_path):
-    """The live-point engine's checkpoint hook emits one ckpt.save per
-    stride boundary on a cold store and one ckpt.restore per boundary on
-    a warm one."""
-    from repro.config import SamplingConfig
-    from repro.fastpath import CheckpointPlan, CheckpointStore
-
-    plan = SamplingConfig(tier="two-level", ramp_instructions=300,
-                          window_instructions=900,
-                          stride_instructions=4_000)
-    store = CheckpointStore(tmp_path)
-
-    cold = Tracer(kinds=["ckpt.save", "ckpt.restore"])
-    simulate("mcf", build_named_config("hybrid"),
-             max_instructions=20_000, warmup_instructions=1_000,
-             attach=cold.attach, sampling=plan,
-             checkpoints=CheckpointPlan(store=store))
-    saves = cold.trace.events("ckpt.save")
-    for event in saves:
-        validate_event(event)
-    assert [e.data["position"] for e in saves] == \
-        [0, 4_000, 8_000, 12_000, 16_000]
-    assert saves[0].data["store"] is False  # entry snapshot: free, not stored
-    assert all(e.data["store"] for e in saves[1:])
-    assert cold.trace.counts["ckpt.restore"] == 0
-    cold.detach()
-
-    warm = Tracer(kinds=["ckpt.save", "ckpt.restore"])
-    simulate("mcf", build_named_config("hybrid"),
-             max_instructions=20_000, warmup_instructions=1_000,
-             attach=warm.attach, sampling=plan,
-             checkpoints=CheckpointPlan(store=store))
-    restores = warm.trace.events("ckpt.restore")
-    for event in restores:
-        validate_event(event)
-    assert [e.data["position"] for e in restores] == \
-        [4_000, 8_000, 12_000, 16_000]
-    assert all(e.data["store"] for e in restores)
-    assert warm.trace.counts["ckpt.save"] == 1  # only the entry snapshot
-    warm.detach()
-
-
-def test_ckpt_kind_selection():
-    """Each ckpt kind is gated independently; drive the hook directly to
-    pin the per-kind flags (as test_fdp_window_seam does for FDP)."""
-    built = build_workload("mcf")
-    proc = Processor(built.program, build_named_config("hybrid"),
-                     memory=built.memory, init_regs=built.init_regs)
-    tracer = Tracer(kinds=["ckpt.restore"])
-    tracer.attach(proc)
-    proc._ckpt_hook("save", 0, False)
-    proc._ckpt_hook("restore", 4_000, True)
-    assert set(tracer.trace.counts) == {"ckpt.restore"}
-    tracer.detach()
-    saver = Tracer(kinds=["ckpt.save"])
-    saver.attach(proc)
-    proc._ckpt_hook("save", 0, True)
-    proc._ckpt_hook("restore", 4_000, True)
-    assert set(saver.trace.counts) == {"ckpt.save"}
-    saver.detach()
-
-
-def test_perfetto_ckpt_instants():
-    trace = EventTrace()
-    trace.emit("ckpt.save", 0, position=0, store=False)
-    trace.emit("ckpt.restore", 0, position=4_000, store=True)
-    doc = export_perfetto(trace)
-    instants = [e for e in doc["traceEvents"] if e["ph"] == "i"]
-    assert [e["name"] for e in instants] == ["ckpt_save", "ckpt_restore"]
-    assert instants[1]["args"]["position"] == 4_000
 
 
 def test_runahead_exit_payload(hybrid_run):

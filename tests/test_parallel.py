@@ -1,6 +1,7 @@
 """Process-parallel runner tests: fan-out, merging, determinism."""
 
 import json
+import os
 from types import SimpleNamespace
 
 import pytest
@@ -12,6 +13,7 @@ from repro.analysis.parallel import (
     resolve_jobs,
     simulate_cells,
     simulate_configs,
+    usable_cpus,
 )
 from repro.config import make_config
 
@@ -34,6 +36,19 @@ class TestResolveJobs:
         assert resolve_jobs() >= 1
         assert resolve_jobs(0) == 1
         assert resolve_jobs(-4) == 1
+
+    def test_default_honours_the_affinity_mask(self, monkeypatch):
+        # A cpuset-restricted container: 8 CPUs on the machine, 2 usable.
+        monkeypatch.delenv("REPRO_BENCH_JOBS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        assert usable_cpus() == 2
+        assert resolve_jobs() == 2
+        # Platforms without an affinity call fall back to cpu_count.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert usable_cpus() == 8
+        assert resolve_jobs() == 8
 
 
 class TestFanOut:
