@@ -70,6 +70,13 @@ def test_bad_input_is_an_error_not_a_traceback(argv, capsys):
     assert "error:" in err and "Traceback" not in err
 
 
+def test_unknown_workload_raises(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "nonexistent", "--instructions", "100"])
+    assert exc.value.code == 2
+    assert "unknown workload 'nonexistent'" in capsys.readouterr().err
+
+
 def test_run_multicore(capsys, tmp_path):
     trace = tmp_path / "mc.perfetto.json"
     code = main(["run", "mcf,lbm", "--cores", "2", "--config",

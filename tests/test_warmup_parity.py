@@ -34,7 +34,6 @@ from repro.core.processor import Processor
 from repro.fastpath.blockjit import INST_BYTES, WarmTargets
 from repro.frontend.branch_predictor import BranchPredictor
 from repro.isa import Interpreter
-from repro.memory import SharedHierarchyError
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.verify.fuzz import build_fuzz_program
 from repro.workloads import build_workload
@@ -350,55 +349,6 @@ def test_ff_lane_snapshots_byte_identical_over_fuzz_corpus():
                 failures.append(f"seed {seed}: diverged after +{chunk}")
                 break
     assert not failures, "\n".join(failures)
-
-
-def test_mid_episode_snapshot_at_runahead_adjacent_point():
-    """snapshot() mid-run — after detailed execution that entered and
-    exited runahead episodes — collapses to the architectural point and
-    nothing more: it equals the snapshot of a twin that only called
-    sync_architectural(), and both continue to the same state."""
-    from repro.fastpath import snapshot_bytes
-
-    procs = []
-    for _ in range(2):
-        built = build_workload("mcf")
-        proc = Processor(built.program, build_named_config("rab_cc"),
-                         memory=built.memory, init_regs=built.init_regs)
-        proc.warm_up(12_000)
-        proc.run(4_000)
-        procs.append(proc)
-    proc, ref = procs
-    assert proc.stats.runahead_intervals > 0
-    snap = proc.snapshot()
-    ref.sync_architectural()
-    assert snapshot_bytes(ref.snapshot()) == snapshot_bytes(snap)
-    proc.fast_forward(5_000)
-    ref.fast_forward(5_000)
-    assert snapshot_bytes(proc.snapshot()) == snapshot_bytes(ref.snapshot())
-
-
-# ---------------------------------------------------------------------------
-# Shared hierarchies refuse snapshots: a core's warm state spans its
-# co-runners (one LLC array, one MSHR pool, one DRAM controller), so a
-# per-core snapshot would silently capture other cores' state.
-# ---------------------------------------------------------------------------
-
-def _shared_core(share: str):
-    from repro.multicore import CoreSpec, System
-    system = System([CoreSpec("mcf"), CoreSpec("lbm")], share=share)
-    return system.cores[0]
-
-
-def test_snapshot_raises():
-    with pytest.raises(SharedHierarchyError):
-        _shared_core("llc,dram").snapshot()
-
-
-def test_dram_only_share_is_rejected_too():
-    # Private LLCs don't help: the DRAM controller (row-buffer and
-    # queue state) is still cross-core.
-    with pytest.raises(SharedHierarchyError):
-        _shared_core("dram").snapshot()
 
 
 # ---------------------------------------------------------------------------
