@@ -180,7 +180,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "plus a shared-memory track")
     run.add_argument("--ff-lane", choices=FF_LANES, default=None,
                      help="fast-forward lane for warm-up and two-level "
-                          "gaps (default: REPRO_FF_LANE env, then 'jit')")
+                          "gaps (default: REPRO_FF_LANE env, then 'jit'); "
+                          "single-core only")
     _add_tier_args(run)
 
     compare = sub.add_parser("compare",
@@ -332,6 +333,10 @@ def _cmd_run_multicore(args) -> int:
     if args.tier != "detailed":
         print("error: --cores > 1 supports only the detailed tier "
               "(sampling assumes a private hierarchy)", file=sys.stderr)
+        return 2
+    if args.ff_lane is not None:
+        print("error: --ff-lane is single-core only; with --cores > 1 "
+              "set REPRO_FF_LANE to pick the warm-up lane", file=sys.stderr)
         return 2
     workloads = [w.strip() for w in args.workload.split(",") if w.strip()]
     if len(workloads) == 1:

@@ -296,7 +296,8 @@ class Processor:
         instructions actually executed (stops at HALT).
 
         This is the fast tier of two-tier simulation (and the whole of
-        pre-run warm-up).  Two lanes produce bit-identical warm state:
+        pre-run warm-up).  Two lanes produce bit-identical warm state,
+        on a private or a shared LLC:
 
         * ``"jit"`` (default) — block-compiled execution
           (:mod:`repro.fastpath.blockjit`): each basic block / loop
@@ -316,12 +317,6 @@ class Processor:
             resolve_ff_lane,
         )
         lane = resolve_ff_lane(lane, self.ff_lane)
-        if lane == "jit" and self.hierarchy.is_shared:
-            # The jit lane's flattened warm helpers back-invalidate only
-            # this core's L1s on clean LLC evictions; with a shared LLC
-            # that would leave stale lines in sibling L1s.  The interp
-            # lane routes through SharedLLC._on_evict, which is correct.
-            lane = "interp"
         if self.halted or instructions <= 0:
             return 0
         self.sync_architectural()

@@ -1,8 +1,8 @@
 """Memory substrate: caches, MSHR-style fill merging, DDR3 DRAM, controller.
 
-The core↔memory seam is an explicit component graph: per-core
-:class:`MemoryHierarchy` (L1s) → :class:`~repro.memory.ports.MemoryPort`
-→ :class:`SharedLLC` (LLC + MSHRs + controller + prefetcher).  A
+Each core's :class:`MemoryHierarchy` (L1s) calls its :class:`SharedLLC`
+(LLC + MSHRs + controller + prefetcher) directly, and one
+:class:`AccessResult` type carries a load's outcome from L1 to DRAM.  A
 hierarchy built standalone owns a private complex; ``repro.multicore``
 connects N hierarchies to one.
 """
@@ -10,10 +10,9 @@ connects N hierarchies to one.
 from .cache import Cache, CacheLine, CacheStats
 from .controller import MemoryController
 from .dram import Dram, DramChannel, DramStats
-from .hierarchy import AccessResult, MemoryHierarchy
-from .ports import (DirectLink, MemRequest, MemResponse, MemoryEndpoint,
-                    MemoryPort, ProtocolError)
-from .shared import CoreAccount, SharedHierarchyError, SharedLLC, SharedStats
+from .hierarchy import MemoryHierarchy
+from .shared import (AccessResult, CoreAccount, SharedHierarchyError,
+                     SharedLLC, SharedStats)
 
 __all__ = [
     "AccessResult",
@@ -21,17 +20,11 @@ __all__ = [
     "CacheLine",
     "CacheStats",
     "CoreAccount",
-    "DirectLink",
     "Dram",
     "DramChannel",
     "DramStats",
-    "MemRequest",
-    "MemResponse",
     "MemoryController",
-    "MemoryEndpoint",
     "MemoryHierarchy",
-    "MemoryPort",
-    "ProtocolError",
     "SharedHierarchyError",
     "SharedLLC",
     "SharedStats",

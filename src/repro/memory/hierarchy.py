@@ -5,9 +5,12 @@ prefetcher into the LLC, 64-entry memory queue, DDR3 DRAM.  All core-side
 requests funnel through :meth:`MemoryHierarchy.load`,
 :meth:`MemoryHierarchy.store_commit` and :meth:`MemoryHierarchy.ifetch`.
 
-Structurally the hierarchy is now only the *private* half of the machine:
-the L1s plus a :class:`~repro.memory.ports.MemoryPort` into the LLC/DRAM
-complex (:class:`~repro.memory.shared.SharedLLC`).  A hierarchy built
+Structurally the hierarchy is only the *private* half of the machine:
+the L1s, whose misses call the LLC/DRAM complex
+(:class:`~repro.memory.shared.SharedLLC`) directly.  A load miss asks
+:meth:`~repro.memory.shared.SharedLLC.accept_at` for an MSHR and then
+returns the :class:`~repro.memory.shared.AccessResult` that
+:meth:`~repro.memory.shared.SharedLLC.serve` built.  A hierarchy built
 without an explicit ``shared=`` argument constructs a private complex, so
 the legacy single-core construction is one core wired to its own LLC —
 the request arithmetic lives in the complex but runs in the same order
@@ -23,36 +26,17 @@ kind; MPKI from demand LLC misses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..config import SystemConfig
 from .cache import Cache, CacheLine
-from .ports import DirectLink, MemRequest
-from .shared import CORE_KINDS, SharedLLC
+from .shared import CORE_KINDS, AccessResult, SharedLLC
 
-__all__ = ["AccessResult", "CORE_KINDS", "MemoryHierarchy"]
-
-
-@dataclass(frozen=True)
-class AccessResult:
-    """Outcome of one load access."""
-
-    done_cycle: int
-    level: str            # "L1", "LLC", or "DRAM" — where the data came from
-    merged: bool = False  # satisfied by an in-flight fill (MSHR merge)
-
-    @property
-    def llc_miss(self) -> bool:
-        return self.level == "DRAM"
+__all__ = ["CORE_KINDS", "MemoryHierarchy"]
 
 
 class MemoryHierarchy:
-    """One core's L1I/L1D plus a port into the LLC/DRAM complex."""
-
-    # Re-exported from the shared complex: tests and callers historically
-    # read the reserve off the hierarchy.
-    _SPECULATIVE_RESERVE = SharedLLC._SPECULATIVE_RESERVE
+    """One core's L1I/L1D in front of the LLC/DRAM complex."""
 
     def __init__(self, config: SystemConfig,
                  shared: Optional[SharedLLC] = None) -> None:
@@ -61,7 +45,6 @@ class MemoryHierarchy:
         self.l1d = Cache(config.l1d)
         self.shared = SharedLLC(config) if shared is None else shared
         self.core_id, self._acct = self.shared.connect(self)
-        self.port = DirectLink(self.shared)
         # Aliases into the complex.  These are the *same objects* the
         # complex owns, so every historical attribute path — stats
         # readers, tracer shadows on ``controller.request``, the warm
@@ -89,44 +72,20 @@ class MemoryHierarchy:
     def ifetch_llc_misses(self) -> int:
         return self._acct.ifetch_llc_misses
 
-    @ifetch_llc_misses.setter
-    def ifetch_llc_misses(self, value: int) -> None:
-        self._acct.ifetch_llc_misses = value
-
     @property
     def _fills(self) -> list[int]:
         return self.shared._fills
-
-    @_fills.setter
-    def _fills(self, value: list[int]) -> None:
-        self.shared._fills = value
 
     # -- address helpers ---------------------------------------------------------
 
     def line_of(self, addr: int) -> int:
         return addr >> self._line_shift
 
-    # -- inclusion / FDP hook -----------------------------------------------------
-
-    def _on_llc_eviction(self, line_addr: int, line) -> None:
-        # The complex owns the eviction policy; this delegate exists for
-        # the flattened warm helpers below, which dispatch through the
-        # instance so a tracer shadow still sees rare-path evictions.
-        self.shared._on_evict(line_addr, line)
-
     # -- MSHR occupancy -------------------------------------------------------------
 
-    def _mshr_free_at(self, now: int, kind: str = "demand") -> int:
-        """0 if an LLC MSHR is free at ``now``, else the cycle one frees."""
-        return self.shared._mshr_block(now, kind, self.core_id)
-
-    def _register_fill(self, done: int) -> None:
-        self.shared._register_fill(done, self.core_id)
-
     def mshr_occupancy(self, now: int) -> int:
-        """LLC MSHRs in flight at ``now``.  Non-mutating (unlike
-        ``_mshr_free_at``) so observers can sample it anywhere without
-        perturbing the heap-drain schedule."""
+        """LLC MSHRs in flight at ``now`` (non-mutating; see
+        :meth:`SharedLLC.mshr_occupancy`)."""
         return self.shared.mshr_occupancy(now)
 
     # -- prefetch issue -----------------------------------------------------------
@@ -144,7 +103,7 @@ class MemoryHierarchy:
         """A data load; returns completion cycle and serving level.
 
         When the access would allocate a new LLC MSHR and all MSHRs are
-        busy, the port refuses the request and this returns level
+        busy, the complex refuses the request and this returns level
         ``"RETRY"`` with ``done_cycle`` set to the cycle an MSHR frees —
         the core must re-issue the load.  This is the backpressure that
         bounds how far any runahead mode can run.
@@ -162,18 +121,17 @@ class MemoryHierarchy:
             # Fill in flight: merge with it.
             l1d.stats.fill_hits += 1
             return AccessResult(
-                max(line.ready_cycle, now + l1_latency), "L1", merged=True
-            )
-        port = self.port
-        req = MemRequest(line_addr, now + l1_latency, kind, self.core_id,
-                         gate_cycle=now, gated=True)
-        if not port.try_send(req):
+                max(line.ready_cycle, now + l1_latency), "L1", True)
+        shared = self.shared
+        core = self.core_id
+        retry = shared.accept_at(line_addr, now, kind, core)
+        if retry:
             self.mshr_rejections += 1
-            return AccessResult(port.retry_at, "RETRY")
+            return AccessResult(retry, "RETRY")
+        result = shared.serve(line_addr, now + l1_latency, kind, core)
         l1d.stats.misses += 1
-        resp = port.recv()
-        l1d.fill(line_addr, resp.done_cycle)
-        return AccessResult(resp.done_cycle, resp.level, merged=resp.merged)
+        l1d.fill(line_addr, result.done_cycle)
+        return result
 
     def store_commit(self, addr: int, now: int, kind: str = "store") -> None:
         """An architecturally committed store (write-allocate, write-back).
@@ -190,11 +148,9 @@ class MemoryHierarchy:
             line.dirty = True
             return
         l1d.stats.misses += 1
-        port = self.port
-        port.try_send(MemRequest(line_addr, now + l1d.latency, kind,
-                                 self.core_id))
-        resp = port.recv()
-        l1d.fill(line_addr, resp.done_cycle)
+        done = self.shared.serve(line_addr, now + l1d.latency, kind,
+                                 self.core_id).done_cycle
+        l1d.fill(line_addr, done)
         l1d.mark_dirty(line_addr)
 
     def ifetch(self, addr: int, now: int) -> int:
@@ -209,10 +165,8 @@ class MemoryHierarchy:
             l1i.stats.fill_hits += 1
             return max(line.ready_cycle, now + l1i.latency)
         l1i.stats.misses += 1
-        port = self.port
-        port.try_send(MemRequest(line_addr, now + l1i.latency, "ifetch",
-                                 self.core_id))
-        done = port.recv().done_cycle
+        done = self.shared.serve(line_addr, now + l1i.latency, "ifetch",
+                                 self.core_id).done_cycle
         l1i.fill(line_addr, done)
         return done
 
@@ -246,31 +200,36 @@ class MemoryHierarchy:
     # flattened into straight-line dict operations.  Only the jit
     # fast-forward lane binds these; the interp lane keeps the reference
     # implementations, and tests/test_blockjit.py differentially checks
-    # the two against each other.  Must be kept in lockstep with
-    # ``Cache.fill``/``Cache.lookup``/``SharedLLC._on_evict``.
+    # the two against each other on a private and on a shared LLC.  Must
+    # be kept in lockstep with ``Cache.fill``/``Cache.lookup``/
+    # ``SharedLLC._on_evict``.
     #
-    # The inlined clean-victim path back-invalidates only *this* core's
-    # L1s, which is wrong once the LLC is shared — Processor.fast_forward
-    # therefore forces the interp lane whenever ``is_shared``.
+    # Only a clean victim of an LLC with one connected core takes the
+    # inlined eviction (back-invalidate this core's L1s).  On a shared
+    # LLC every victim goes through ``SharedLLC._on_evict``, which
+    # back-invalidates every core's L1s and drops the victim's owner.
 
     def _warm_llc_fill(self, line_addr: int, lset) -> None:
         """``llc.fill(line_addr, 0)`` for a line known absent from
-        ``lset`` (its set) and not the LLC MRU entry."""
+        ``lset`` (its set) and not the LLC MRU entry, plus the line
+        ownership :meth:`warm_load` records on a shared LLC."""
         llc = self.llc
+        shared = self.shared
         ln = None
         if len(lset) >= llc.assoc:
             va, vl = lset.popitem(last=False)
             st = llc.stats
             st.evictions += 1
             llc._resident -= 1
-            if vl.dirty or vl.prefetched:
-                # Writeback / FDP accounting: rare, take the full hook.
+            if vl.dirty or vl.prefetched or shared._mc:
+                # Writeback / FDP / cross-core accounting: take the full
+                # hook.
                 if vl.dirty:
                     st.writebacks += 1
                 if va == llc._mru_key:
                     llc._mru_key = -1
                     llc._mru_line = None
-                self._on_llc_eviction(va, vl)
+                shared._on_evict(va, vl)
             else:
                 # Common case of the eviction hook: back-invalidate L1s.
                 # The victim MRU-clear is dead here (the tail below
@@ -300,6 +259,8 @@ class MemoryHierarchy:
         llc._resident += 1
         llc._mru_key = line_addr
         llc._mru_line = ln
+        if shared._mc:
+            shared._line_owner[line_addr] = self.core_id
 
     def warm_load_miss(self, line_addr: int) -> None:
         """L1D-miss continuation of :meth:`warm_load`, taking the *line*
@@ -316,48 +277,7 @@ class MemoryHierarchy:
                 llc._mru_key = line_addr
                 llc._mru_line = lln
             else:
-                # _warm_llc_fill, inlined: pointer-chasing workloads take
-                # this path on nearly every load miss, so the call frame
-                # is worth eliding.
-                ln = None
-                if len(lset) >= llc.assoc:
-                    va, vl = lset.popitem(last=False)
-                    st = llc.stats
-                    st.evictions += 1
-                    llc._resident -= 1
-                    if vl.dirty or vl.prefetched:
-                        if vl.dirty:
-                            st.writebacks += 1
-                        if va == llc._mru_key:
-                            llc._mru_key = -1
-                            llc._mru_line = None
-                        self._on_llc_eviction(va, vl)
-                    else:
-                        l1d = self.l1d
-                        if (l1d._sets[va % l1d.num_sets].pop(va, None)
-                                is not None):
-                            l1d.stats.invalidations += 1
-                            l1d._resident -= 1
-                            if va == l1d._mru_key:
-                                l1d._mru_key = -1
-                                l1d._mru_line = None
-                        l1i = self.l1i
-                        if (l1i._sets[va % l1i.num_sets].pop(va, None)
-                                is not None):
-                            l1i.stats.invalidations += 1
-                            l1i._resident -= 1
-                            if va == l1i._mru_key:
-                                l1i._mru_key = -1
-                                l1i._mru_line = None
-                        vl.ready_cycle = 0
-                        vl.referenced = False
-                        ln = vl
-                if ln is None:
-                    ln = CacheLine(0)
-                lset[line_addr] = ln
-                llc._resident += 1
-                llc._mru_key = line_addr
-                llc._mru_line = ln
+                self._warm_llc_fill(line_addr, lset)
         # l1d.fill(line_addr, 0): the line is still absent (the back-
         # invalidation above only removes), so only the victim path of
         # Cache.fill applies.

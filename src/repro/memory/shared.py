@@ -1,14 +1,18 @@
-"""The LLC/DRAM complex behind the core→memory port seam.
+"""The LLC/DRAM complex below each core's L1s.
 
 :class:`SharedLLC` owns everything below the L1s: the (inclusive) LLC
 array, the memory controller + DRAM, the stream prefetcher, and the LLC
-MSHR pool.  A single-core :class:`~repro.memory.hierarchy.MemoryHierarchy`
-constructs a private instance, so the legacy path is one core connected
-to its own complex — same arithmetic, same call order, bit-identical
-stats.  ``repro.multicore`` instead builds one instance and connects N
-hierarchies to it; the complex then additionally keeps per-core
-accounting (LLC/DRAM traffic, MSHR occupancy and contention) and the
-cross-core interference stats the shared scenarios are about:
+MSHR pool.  A :class:`~repro.memory.hierarchy.MemoryHierarchy` calls it
+directly with two methods: :meth:`SharedLLC.accept_at` (the MSHR
+admission check, loads only) and :meth:`SharedLLC.serve`, which returns
+the :class:`AccessResult` the load hands back to the core.  A
+single-core hierarchy constructs a private instance, so the legacy path
+is one core connected to its own complex — same arithmetic, same call
+order, bit-identical stats.  ``repro.multicore`` instead builds one
+instance and connects N hierarchies to it; the complex then additionally
+keeps per-core accounting (LLC/DRAM traffic, MSHR occupancy and
+contention) and the cross-core interference stats the shared scenarios
+are about:
 
 * **cross-core evictions** — a fill from core A evicting a line that
   core B inserted (inclusion then also back-invalidates B's L1s);
@@ -32,18 +36,26 @@ from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from ..config import SystemConfig
 from ..prefetch import StreamPrefetcher
 from .cache import Cache
 from .controller import MemoryController
-from .ports import MemRequest, MemResponse
 
-__all__ = ["CoreAccount", "SharedHierarchyError", "SharedLLC", "SharedStats"]
+__all__ = ["AccessResult", "CoreAccount", "SharedHierarchyError",
+           "SharedLLC", "SharedStats"]
 
 # Taxonomy of core-side request kinds; used for DRAM/LLC accounting.
 CORE_KINDS = ("demand", "store", "runahead", "wrongpath")
+
+
+class AccessResult(NamedTuple):
+    """Outcome of one access, from whichever level served it."""
+
+    done_cycle: int       # completion cycle, or the cycle to retry
+    level: str            # "L1", "LLC", "DRAM", or "RETRY" (MSHRs full)
+    merged: bool = False  # satisfied by an in-flight fill (MSHR merge)
 
 
 class SharedHierarchyError(RuntimeError):
@@ -323,48 +335,45 @@ class SharedLLC:
         perturbing the heap-drain schedule."""
         return sum(1 for done in self._fills if done > now)
 
-    # -- port endpoint (ports.MemoryEndpoint) --------------------------------
+    # -- core-side access --------------------------------------------------
 
-    def accept_at(self, req: MemRequest) -> int:
-        """0 to accept now, else the retry cycle (MSHR backpressure).
-
-        Only gated (load-type) requests can be refused; a line already
-        present or in flight in the LLC merges without a new MSHR.
+    def accept_at(self, line_addr: int, now: int, kind: str,
+                  core: int) -> int:
+        """0 to admit a load issued at ``now``, else the cycle to retry
+        (MSHR backpressure).  A line already present or in flight in the
+        LLC merges without a new MSHR.  Only loads are gated: stores
+        (nothing waits on them) and instruction fetches go straight to
+        :meth:`serve`.
         """
-        if not req.gated:
+        if self.llc.probe(line_addr):
             return 0
-        if self.llc.probe(req.line_addr):
-            return 0
-        return self._mshr_block(req.gate_cycle, req.kind, req.core)
+        return self._mshr_block(now, kind, core)
 
-    def serve(self, req: MemRequest) -> MemResponse:
-        """Resolve an accepted request against LLC/DRAM state."""
-        if req.kind == "ifetch":
-            return self._serve_ifetch(req)
-        line_addr = req.line_addr
-        kind = req.kind
-        now = req.cycle
-        core = req.core
+    def serve(self, line_addr: int, cycle: int, kind: str,
+              core: int) -> AccessResult:
+        """Resolve an admitted request reaching the LLC at ``cycle``."""
+        if kind == "ifetch":
+            return self._serve_ifetch(line_addr, cycle, core)
         acct = self._accounts[core]
         if self._track:
             self._active_core = core
             self._active_kind = kind
-            self._active_cycle = now
+            self._active_cycle = cycle
         llc_latency = self.llc.latency
         acct.llc_accesses[kind] = acct.llc_accesses.get(kind, 0) + 1
         line = self.llc.lookup(line_addr)
         if line is not None:
-            self._fdp_demand_touch(line, now)
-            if line.ready_cycle <= now:
+            self._fdp_demand_touch(line, cycle)
+            if line.ready_cycle <= cycle:
                 self.llc.stats.hits += 1
-                done = now + llc_latency
+                done = cycle + llc_latency
                 level, merged = "LLC", False
                 if self._track:
                     acct.accesses += 1
                     acct.hits += 1
             else:
                 self.llc.stats.fill_hits += 1
-                done = max(line.ready_cycle, now + llc_latency)
+                done = max(line.ready_cycle, cycle + llc_latency)
                 # Merged with an outstanding DRAM fill: the data still
                 # comes from DRAM, which matters for runahead entry.
                 level, merged = "DRAM", True
@@ -374,7 +383,7 @@ class SharedLLC:
         else:
             self.llc.stats.misses += 1
             acct.llc_misses[kind] = acct.llc_misses.get(kind, 0) + 1
-            done = self.controller.request(line_addr, now + llc_latency,
+            done = self.controller.request(line_addr, cycle + llc_latency,
                                            kind=kind)
             self._register_fill(done, core,
                                 speculative=kind in ("runahead", "prefetch"))
@@ -396,16 +405,14 @@ class SharedLLC:
             # Route through the requesting hierarchy so its per-core
             # observability shadow (Tracer) sees the issue.
             self._hiers[core]._issue_prefetches(
-                self.prefetcher.on_demand_access(line_addr, hits, core), now
+                self.prefetcher.on_demand_access(line_addr, hits, core), cycle
             )
-        return MemResponse(done, level, merged=merged)
+        return AccessResult(done, level, merged)
 
-    def _serve_ifetch(self, req: MemRequest) -> MemResponse:
+    def _serve_ifetch(self, line_addr: int, t: int,
+                      core: int) -> AccessResult:
         """LLC side of an instruction fetch: no MSHR allocation, no
         prefetcher training — exactly the legacy ifetch arithmetic."""
-        line_addr = req.line_addr
-        t = req.cycle
-        core = req.core
         acct = self._accounts[core]
         if self._track:
             self._active_core = core
@@ -438,7 +445,7 @@ class SharedLLC:
                     acct.dram_by_kind.get("ifetch", 0) + 1)
             if self._mc:
                 self._line_owner[line_addr] = core
-        return MemResponse(done, "DRAM" if llc_line is None else "LLC")
+        return AccessResult(done, "DRAM" if llc_line is None else "LLC")
 
     # -- prefetch issue ------------------------------------------------------
 

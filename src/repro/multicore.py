@@ -3,7 +3,7 @@
 The paper evaluates the runahead buffer per-core; this module scales the
 *modeled* system following Hashemi's dissertation direction — multiple
 out-of-order cores (each with private L1s and its own runahead
-machinery) connected through :mod:`repro.memory.ports` to one
+machinery) whose hierarchies call one
 :class:`~repro.memory.shared.SharedLLC` complex.  Two share levels:
 
 * ``"llc,dram"`` — one LLC array, one MSHR pool, one prefetcher, one
@@ -112,8 +112,8 @@ class System:
     def warm_up(self, instructions: int) -> list[int]:
         """Functionally warm each core in core order.  Sequential by
         design: warm-up is untimed, and a fixed order keeps the shared
-        LLC's warm contents deterministic.  (The jit lane is refused by
-        the processors themselves when the hierarchy is shared.)
+        LLC's warm contents deterministic.  Either fast-forward lane
+        (``REPRO_FF_LANE``, default jit) gives the same warm state.
 
         Warm-up evictions are attributed to the warming core, then the
         interference counters are reset: warm-order artifacts are not

@@ -23,7 +23,7 @@ from repro.frontend.branch_predictor import BranchPredictor
 from repro.isa import Interpreter, ProgramBuilder
 from repro.isa.blocks import (BRANCH, HALT, LOOP, REGION, STRAIGHT,
                               discover_block, discover_region)
-from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory import MemoryHierarchy, SharedLLC
 
 
 # ---------------------------------------------------------------------------
@@ -302,102 +302,106 @@ def _stats(cache):
             s.invalidations)
 
 
+def _jit_warm_load(h, line):
+    """Generated-code caller contract for the jit side's data access."""
+    l1d = h.l1d
+    if line != l1d._mru_key:
+        s = l1d._sets[line % l1d.num_sets]
+        ln = s.get(line)
+        if ln is None:
+            h.warm_load_miss(line)
+        else:
+            s.move_to_end(line)
+            l1d._mru_key = line
+            l1d._mru_line = ln
+
+
+def _jit_warm_ifetch(h, line):
+    """Generated-code caller contract for the jit side's fetch: MRU
+    guard, then the inline resident-and-ready fast path, then the flat
+    helper."""
+    l1i = h.l1i
+    if line != l1i._mru_key or l1i._mru_line.ready_cycle > 0:
+        s = l1i._sets[line % l1i.num_sets]
+        ln = s.get(line)
+        if ln is None or ln.ready_cycle > 0:
+            h.warm_ifetch_line(line)
+        else:
+            s.move_to_end(line)
+            l1i._mru_key = line
+            l1i._mru_line = ln
+
+
 class TestFlatWarmHelpers:
     """``warm_load_miss``/``warm_ifetch_line`` vs the reference
     ``warm_load``/``warm_ifetch`` over a random address stream long
-    enough to exercise L1 and LLC evictions and the back-invalidate."""
+    enough to exercise L1 and LLC evictions and the back-invalidate.
+    Each test runs twice: one private hierarchy per side, then two cores
+    per side on one shared LLC, with the stream spread over both."""
 
-    def _pair(self):
+    def _sides(self):
         cfg = build_named_config("baseline")
-        return MemoryHierarchy(cfg), MemoryHierarchy(cfg)
+        yield "private", [MemoryHierarchy(cfg)], [MemoryHierarchy(cfg)]
+        ref_llc, jit_llc = SharedLLC(cfg), SharedLLC(cfg)
+        yield ("shared",
+               [MemoryHierarchy(cfg, shared=ref_llc) for _ in range(2)],
+               [MemoryHierarchy(cfg, shared=jit_llc) for _ in range(2)])
+
+    def _assert_same(self, label, ref, jit):
+        for core, (r, j) in enumerate(zip(ref, jit)):
+            for lvl in ("l1d", "l1i"):
+                where = f"{label} core {core} {lvl}"
+                assert _l1d_cache_state(getattr(r, lvl)) == \
+                    _l1d_cache_state(getattr(j, lvl)), where
+                assert _stats(getattr(r, lvl)) == _stats(getattr(j, lvl)), \
+                    where
+        assert _l1d_cache_state(ref[0].llc) == \
+            _l1d_cache_state(jit[0].llc), f"{label} llc"
+        assert _stats(ref[0].llc) == _stats(jit[0].llc), f"{label} llc"
+        assert ref[0].shared._line_owner == jit[0].shared._line_owner, \
+            f"{label} line owners"
+        assert ref[0].shared.stats.to_dict() == \
+            jit[0].shared.stats.to_dict(), f"{label} interference"
 
     def test_load_path(self):
-        ref, jit = self._pair()
-        shift = ref._line_shift
-        l1d = jit.l1d
-        rng = random.Random(7)
-        lines = [rng.randrange(1 << 16) for _ in range(30_000)]
-        # Mix in reuse so hit, MRU and move_to_end paths all fire.
-        lines += [rng.choice(lines[:2_000]) for _ in range(10_000)]
-        for line in lines:
-            addr = line << shift
-            ref.warm_load(addr)
-            # Generated-code caller contract for the jit side.
-            if line != l1d._mru_key:
-                s = l1d._sets[line % l1d.num_sets]
-                ln = s.get(line)
-                if ln is None:
-                    jit.warm_load_miss(line)
-                else:
-                    s.move_to_end(line)
-                    l1d._mru_key = line
-                    l1d._mru_line = ln
-        for lvl in ("l1d", "l1i", "llc"):
-            assert _l1d_cache_state(getattr(ref, lvl)) == \
-                _l1d_cache_state(getattr(jit, lvl)), lvl
-            assert _stats(getattr(ref, lvl)) == _stats(getattr(jit, lvl)), lvl
+        for label, ref, jit in self._sides():
+            shift = ref[0]._line_shift
+            rng = random.Random(7)
+            lines = [rng.randrange(1 << 16) for _ in range(30_000)]
+            # Mix in reuse so hit, MRU and move_to_end paths all fire.
+            lines += [rng.choice(lines[:2_000]) for _ in range(10_000)]
+            for line in lines:
+                core = rng.randrange(len(ref)) if len(ref) > 1 else 0
+                ref[core].warm_load(line << shift)
+                _jit_warm_load(jit[core], line)
+            self._assert_same(label, ref, jit)
 
     def test_ifetch_path(self):
-        ref, jit = self._pair()
-        shift = ref._line_shift
-        l1i = jit.l1i
-        rng = random.Random(8)
-        lines = [rng.randrange(1 << 15) for _ in range(20_000)]
-        lines += [rng.choice(lines[:500]) for _ in range(10_000)]
-        for line in lines:
-            addr = line << shift
-            ref.warm_ifetch(addr)
-            # Generated-code caller contract: MRU guard, then the inline
-            # resident-and-ready fast path, then the flat helper.
-            if line != l1i._mru_key or l1i._mru_line.ready_cycle > 0:
-                s = l1i._sets[line % l1i.num_sets]
-                ln = s.get(line)
-                if ln is None or ln.ready_cycle > 0:
-                    jit.warm_ifetch_line(line)
-                else:
-                    s.move_to_end(line)
-                    l1i._mru_key = line
-                    l1i._mru_line = ln
-        for lvl in ("l1d", "l1i", "llc"):
-            assert _l1d_cache_state(getattr(ref, lvl)) == \
-                _l1d_cache_state(getattr(jit, lvl)), lvl
-            assert _stats(getattr(ref, lvl)) == _stats(getattr(jit, lvl)), lvl
+        for label, ref, jit in self._sides():
+            shift = ref[0]._line_shift
+            rng = random.Random(8)
+            lines = [rng.randrange(1 << 15) for _ in range(20_000)]
+            lines += [rng.choice(lines[:500]) for _ in range(10_000)]
+            for line in lines:
+                core = rng.randrange(len(ref)) if len(ref) > 1 else 0
+                ref[core].warm_ifetch(line << shift)
+                _jit_warm_ifetch(jit[core], line)
+            self._assert_same(label, ref, jit)
 
     def test_mixed_load_and_ifetch_share_llc(self):
-        ref, jit = self._pair()
-        shift = ref._line_shift
-        rng = random.Random(9)
-        for _ in range(25_000):
-            line = rng.randrange(1 << 15)
-            addr = line << shift
-            if rng.random() < 0.5:
-                ref.warm_load(addr)
-                l1d = jit.l1d
-                if line != l1d._mru_key:
-                    s = l1d._sets[line % l1d.num_sets]
-                    ln = s.get(line)
-                    if ln is None:
-                        jit.warm_load_miss(line)
-                    else:
-                        s.move_to_end(line)
-                        l1d._mru_key = line
-                        l1d._mru_line = ln
-            else:
-                ref.warm_ifetch(addr)
-                l1i = jit.l1i
-                if line != l1i._mru_key or l1i._mru_line.ready_cycle > 0:
-                    s = l1i._sets[line % l1i.num_sets]
-                    ln = s.get(line)
-                    if ln is None or ln.ready_cycle > 0:
-                        jit.warm_ifetch_line(line)
-                    else:
-                        s.move_to_end(line)
-                        l1i._mru_key = line
-                        l1i._mru_line = ln
-        for lvl in ("l1d", "l1i", "llc"):
-            assert _l1d_cache_state(getattr(ref, lvl)) == \
-                _l1d_cache_state(getattr(jit, lvl)), lvl
-            assert _stats(getattr(ref, lvl)) == _stats(getattr(jit, lvl)), lvl
+        for label, ref, jit in self._sides():
+            shift = ref[0]._line_shift
+            rng = random.Random(9)
+            for _ in range(25_000):
+                line = rng.randrange(1 << 15)
+                core = rng.randrange(len(ref)) if len(ref) > 1 else 0
+                if rng.random() < 0.5:
+                    ref[core].warm_load(line << shift)
+                    _jit_warm_load(jit[core], line)
+                else:
+                    ref[core].warm_ifetch(line << shift)
+                    _jit_warm_ifetch(jit[core], line)
+            self._assert_same(label, ref, jit)
 
 
 # ---------------------------------------------------------------------------

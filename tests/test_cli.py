@@ -102,6 +102,11 @@ def test_run_multicore_flag_misuse_rejected(capsys):
     capsys.readouterr()
     assert main(["run", "mcf", "--cores", "2", "--tier", "two-level",
                  "--instructions", "500"]) == 2
+    capsys.readouterr()
+    # The multicore path takes its warm-up lane from REPRO_FF_LANE only.
+    assert main(["run", "mcf,lbm", "--cores", "2", "--ff-lane", "interp",
+                 "--instructions", "500"]) == 2
+    assert "error: --ff-lane" in capsys.readouterr().err
 
 
 def test_bad_config_rejected(capsys):

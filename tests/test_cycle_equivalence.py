@@ -118,15 +118,14 @@ def test_cycle_identical(golden, config_name):
     )
 
 
-# -- port / component-graph refactor -----------------------------------------
+# -- core/shared-complex graph ------------------------------------------------
 #
-# The core↔memory seam is an explicit port graph (repro.memory.ports):
-# every golden cell above already exercises it, because the default
-# single-core hierarchy now reaches its LLC complex through a DirectLink.
-# These tests make the refactor's contract explicit: the graph is real
-# (not vestigial), and driving the same cells through the *multi-core*
-# construction path (System with N=1) reproduces the pinned reference
-# bit-for-bit — the golden file needs zero changes for the refactor.
+# Each core's hierarchy calls its LLC/DRAM complex (SharedLLC) directly:
+# every golden cell above already exercises that graph, because the
+# default single-core hierarchy builds a private complex.  These tests
+# make the contract explicit: the graph is real (not vestigial), and
+# driving the same cells through the *multi-core* construction path
+# (System with N=1) reproduces the pinned reference bit-for-bit.
 
 PORT_SAMPLE_WORKLOADS = ("mcf", "lbm", "omnetpp", "libquantum")
 
@@ -134,16 +133,21 @@ PORT_SAMPLE_WORKLOADS = ("mcf", "lbm", "omnetpp", "libquantum")
 def test_default_hierarchy_routes_through_the_port_graph():
     from repro.config import build_named_config
     from repro.core.processor import Processor
-    from repro.memory import DirectLink, SharedLLC
+    from repro.memory import SharedLLC
     from repro.workloads import build_workload
 
     workload = build_workload("mcf")
     proc = Processor(workload.program, build_named_config("rab_cc"),
                      memory=workload.memory, init_regs=workload.init_regs)
-    assert isinstance(proc.hierarchy.port, DirectLink)
-    assert isinstance(proc.hierarchy.shared, SharedLLC)
-    assert proc.hierarchy.port.endpoint is proc.hierarchy.shared
-    assert proc.hierarchy.llc is proc.hierarchy.shared.llc
+    hierarchy = proc.hierarchy
+    shared = hierarchy.shared
+    assert isinstance(shared, SharedLLC)
+    # A private complex with this core as its only connection.
+    assert shared._hiers == [hierarchy] and hierarchy.core_id == 0
+    assert not hierarchy.is_shared
+    assert shared._l1_pairs == [(hierarchy.l1d, hierarchy.l1i)]
+    assert hierarchy.llc is shared.llc
+    assert shared.llc.eviction_hook == shared._on_evict
 
 
 @pytest.mark.parametrize("config_name", ("baseline", "rab_cc"))

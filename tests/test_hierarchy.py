@@ -1,7 +1,7 @@
 """Memory hierarchy integration tests: levels, inclusion, MSHRs."""
 
 from repro.config import default_system, make_config
-from repro.memory import MemoryHierarchy
+from repro.memory import MemoryHierarchy, SharedLLC
 
 
 def make_hierarchy(prefetch=False):
@@ -79,7 +79,7 @@ class TestMshrBackpressure:
     def test_demand_gets_reserved_mshrs(self):
         h = make_hierarchy()
         mshrs = h.config.llc.mshrs
-        reserve = h._SPECULATIVE_RESERVE
+        reserve = SharedLLC._SPECULATIVE_RESERVE
         for i in range(mshrs - reserve):
             h.load(i * 64 + (1 << 24), now=0, kind="runahead")
         # Speculative is now rejected, demand still admitted.
@@ -99,7 +99,7 @@ class TestMshrBackpressure:
         slot for speculative kinds; the request must bounce forward (not
         IndexError on the empty fill heap — found by the config fuzzer)."""
         cfg = make_config()
-        cfg.llc.mshrs = MemoryHierarchy._SPECULATIVE_RESERVE
+        cfg.llc.mshrs = SharedLLC._SPECULATIVE_RESERVE
         h = MemoryHierarchy(cfg)
         result = h.load(1 << 24, now=7, kind="runahead")
         assert result.level == "RETRY"

@@ -1,12 +1,13 @@
 """Multi-core system tests: determinism, single-core equivalence,
-scaling, contention accounting, and runahead fairness.
+warm-up lane independence, scaling, contention accounting, and runahead
+fairness.
 
 The determinism gate is the load-bearing test: a multi-core run's
 per-core fingerprints must be byte-identical across reruns (the heap
 scheduler breaks ties by core index and nothing anywhere is random), so
 any nondeterminism introduced into the shared LLC/DRAM path fails here
 first.  The N=1 test pins the stronger property the golden grid relies
-on: one core behind the port/shared-complex graph is *bit-identical* to
+on: one core behind a shared-complex graph is *bit-identical* to
 the legacy single-core path, not merely close.
 """
 
@@ -126,6 +127,36 @@ def test_dram_only_share_splits_traffic_per_core():
     assert sum(acct["dram_reads"] for acct in per_core) == \
         result.shared["dram"]["reads"]
     assert all(acct["dram_reads"] > 0 for acct in per_core)
+
+
+# -- warm-up lanes -----------------------------------------------------------
+
+
+def test_warm_up_is_lane_independent_and_runs_on_the_jit_lane(monkeypatch):
+    """Both fast-forward lanes leave a shared LLC in the same warm state,
+    so the timed runs match, and the default (jit) lane really runs."""
+    runs = {}
+    for lane in ("interp", "jit"):
+        if lane == "jit":
+            monkeypatch.delenv("REPRO_FF_LANE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_FF_LANE", lane)
+        warm = {}
+
+        def attach(system, warm=warm):
+            warm["llc_evictions"] = system.shared.llc.stats.evictions
+            warm["translate_s"] = sum(core.ff_translate_seconds
+                                      for core in system.cores)
+
+        configs = [_small_llc_config("rab_cc"), _small_llc_config("rab_cc")]
+        runs[lane] = (_run(["mcf", "lbm"], configs, attach=attach), warm)
+    (interp, interp_warm), (jit, jit_warm) = runs["interp"], runs["jit"]
+    assert interp_warm["llc_evictions"] > 0
+    assert jit_warm["llc_evictions"] == interp_warm["llc_evictions"]
+    assert interp_warm["translate_s"] == 0
+    assert jit_warm["translate_s"] > 0
+    assert jit.system.fingerprints() == interp.system.fingerprints()
+    assert jit.shared == interp.shared
 
 
 # -- fairness ----------------------------------------------------------------

@@ -1,13 +1,13 @@
-"""Port-protocol contract tests for the core↔memory seam.
+"""Contract tests for the core↔memory seam.
 
-The component-graph refactor (docs/simulator.md, "Multi-core & shared
-memory") replaced the hierarchy's direct method calls into the LLC with
-an explicit can/send/has/recv port.  These tests pin the protocol
-contract itself — no send past backpressure, no receive without a
-response, single delivery, retry-cycle latching — against both a
-scripted mock endpoint (so violations cannot hide behind real LLC
-behaviour) and the real :class:`~repro.memory.SharedLLC` endpoint (so
-the contract holds where it matters).
+A :class:`~repro.memory.MemoryHierarchy` reaches everything below its
+L1s through two :class:`~repro.memory.SharedLLC` calls:
+``accept_at(line, now, kind, core)`` (the LLC MSHR admission check: 0, or
+the cycle to retry) and ``serve(line, cycle, kind, core)``, which returns
+the :class:`~repro.memory.AccessResult` a load hands back to the core.
+These tests pin what callers rely on: a refused load touches no memory
+state and reports the cycle an MSHR drains, a retry at that cycle is
+admitted, and only loads are gated.
 """
 
 from __future__ import annotations
@@ -15,95 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import default_system
-from repro.memory import (DirectLink, MemRequest, MemResponse,
-                          MemoryHierarchy, ProtocolError, SharedLLC)
-
-
-class RecordingEndpoint:
-    """Scripted endpoint: fixed admission verdict, records every serve."""
-
-    def __init__(self, retry_at: int = 0) -> None:
-        self.retry_at = retry_at
-        self.served: list[MemRequest] = []
-
-    def accept_at(self, req: MemRequest) -> int:
-        return self.retry_at
-
-    def serve(self, req: MemRequest) -> MemResponse:
-        self.served.append(req)
-        return MemResponse(req.cycle + 100, "dram")
-
-
-def _req(line: int = 0x40, cycle: int = 10, kind: str = "load",
-         gated: bool = True) -> MemRequest:
-    return MemRequest(line, cycle, kind, core=0, gate_cycle=cycle,
-                      gated=gated)
-
-
-# -- mock endpoint: the protocol in isolation --------------------------------
-
-
-class TestDirectLinkProtocol:
-    def test_recv_without_response_raises(self):
-        port = DirectLink(RecordingEndpoint())
-        assert not port.has_resp()
-        with pytest.raises(ProtocolError):
-            port.recv()
-
-    def test_send_delivers_exactly_once(self):
-        endpoint = RecordingEndpoint()
-        port = DirectLink(endpoint)
-        req = _req()
-        assert port.try_send(req)
-        assert len(endpoint.served) == 1 and endpoint.served[0] is req
-        assert port.has_resp()
-        resp = port.recv()
-        assert resp.done_cycle == req.cycle + 100
-        # Single delivery: the response is gone after one recv.
-        assert not port.has_resp()
-        with pytest.raises(ProtocolError):
-            port.recv()
-        assert len(endpoint.served) == 1
-
-    def test_send_with_undrained_response_raises(self):
-        endpoint = RecordingEndpoint()
-        port = DirectLink(endpoint)
-        assert port.try_send(_req())
-        with pytest.raises(ProtocolError):
-            port.try_send(_req(line=0x80))
-        # The violating send must not have reached the endpoint.
-        assert len(endpoint.served) == 1
-
-    def test_can_accept_false_while_response_pending(self):
-        port = DirectLink(RecordingEndpoint())
-        assert port.try_send(_req())
-        assert not port.can_accept(_req(line=0x80))
-        port.recv()
-        assert port.can_accept(_req(line=0x80))
-
-    def test_refusal_latches_retry_cycle_without_serving(self):
-        endpoint = RecordingEndpoint(retry_at=55)
-        port = DirectLink(endpoint)
-        req = _req()
-        assert not port.can_accept(req)
-        assert port.retry_at == 55
-        assert not port.try_send(req)
-        assert port.retry_at == 55
-        # A refused request never reaches serve() and leaves no response.
-        assert endpoint.served == []
-        assert not port.has_resp()
-
-    def test_can_accept_does_not_consume_the_slot(self):
-        endpoint = RecordingEndpoint()
-        port = DirectLink(endpoint)
-        req = _req()
-        assert port.can_accept(req)
-        assert endpoint.served == []  # admission check only, no serve
-        assert port.try_send(req)
-        assert len(endpoint.served) == 1
-
-
-# -- real endpoint: SharedLLC behind the same port ---------------------------
+from repro.memory import AccessResult, MemoryHierarchy, SharedLLC
 
 
 @pytest.fixture
@@ -111,57 +23,79 @@ def hierarchy():
     return MemoryHierarchy(default_system())
 
 
+def _fill_mshr_pool(shared: SharedLLC, drain_cycle: int) -> None:
+    for _ in range(shared._mshr_limit):
+        shared._register_fill(drain_cycle)
+
+
+def _memory_state(shared: SharedLLC) -> tuple:
+    return (shared.llc.snapshot(), shared.controller.stats.requests,
+            tuple(shared._fills))
+
+
 class TestRealEndpoint:
     def test_hierarchy_is_port_connected(self, hierarchy):
-        assert isinstance(hierarchy.port, DirectLink)
-        assert isinstance(hierarchy.shared, SharedLLC)
-        assert hierarchy.port.endpoint is hierarchy.shared
+        shared = hierarchy.shared
+        assert isinstance(shared, SharedLLC)
+        assert shared._hiers == [hierarchy]
+        assert hierarchy.llc is shared.llc
+        assert hierarchy.controller is shared.controller
 
-    def test_load_roundtrip(self, hierarchy):
-        port = hierarchy.port
-        req = _req(line=0x1000, cycle=20)
-        assert port.try_send(req)
-        resp = port.recv()
-        assert resp.done_cycle >= req.cycle
-        assert isinstance(resp.level, str) and resp.level
-        with pytest.raises(ProtocolError):
-            port.recv()
+    def test_load_roundtrip(self, hierarchy, monkeypatch):
+        # A load miss returns the very result serve() built, after
+        # filling the L1D with its completion cycle.
+        shared = hierarchy.shared
+        served = []
+
+        def serve(*args):
+            result = SharedLLC.serve(shared, *args)
+            served.append(result)
+            return result
+
+        monkeypatch.setattr(shared, "serve", serve)
+        result = hierarchy.load(0x1000 << hierarchy._line_shift, now=20)
+        assert served == [result] and served[0] is result
+        assert isinstance(result, AccessResult)
+        assert result.level == "DRAM" and not result.merged
+        assert result.done_cycle > 20
+        line = hierarchy.l1d.lookup(0x1000)
+        assert line is not None and line.ready_cycle == result.done_cycle
 
     def test_full_mshr_pool_backpressures_gated_loads(self, hierarchy):
         shared = hierarchy.shared
         drain_cycle = 10_000
-        for _ in range(shared._mshr_limit):
-            shared._register_fill(drain_cycle)
-        port = hierarchy.port
-        req = _req(line=0x2000, cycle=10)
-        assert not port.can_accept(req)
-        assert port.retry_at == drain_cycle
-        assert not port.try_send(req)
-        assert port.retry_at == drain_cycle
-        assert not port.has_resp()
+        _fill_mshr_pool(shared, drain_cycle)
+        before = _memory_state(shared)
+        assert shared.accept_at(0x2000, 10, "demand", 0) == drain_cycle
+        result = hierarchy.load(0x2000 << hierarchy._line_shift, now=10)
+        assert result == AccessResult(drain_cycle, "RETRY")
+        assert hierarchy.mshr_rejections == 1
+        # Refused: no LLC allocation, no DRAM request, no new fill.
+        assert _memory_state(shared) == before
+        assert not hierarchy.l1d.probe(0x2000)
 
     def test_ungated_requests_bypass_the_mshr_gate(self, hierarchy):
         # Stores and instruction fetches are not subject to MSHR
         # backpressure (nothing in the core waits on them the same way).
         shared = hierarchy.shared
-        for _ in range(shared._mshr_limit):
-            shared._register_fill(10_000)
-        port = hierarchy.port
-        store = _req(line=0x3000, cycle=10, kind="store", gated=False)
-        assert port.try_send(store)
-        assert port.recv().done_cycle >= store.cycle
+        _fill_mshr_pool(shared, 10_000)
+        requests = shared.controller.stats.requests
+        hierarchy.store_commit(0x3000 << hierarchy._line_shift, now=10)
+        assert hierarchy.l1d.probe(0x3000) and shared.llc.probe(0x3000)
+        done = hierarchy.ifetch(0x3400 << hierarchy._line_shift, now=10)
+        assert done > 10 and shared.llc.probe(0x3400)
+        assert shared.controller.stats.requests == requests + 2
+        assert hierarchy.mshr_rejections == 0
 
     def test_retry_cycle_frees_the_request(self, hierarchy):
-        # Retrying at the latched cycle (when the blocking fills drain)
-        # must succeed — the contract callers rely on for progress.
+        # Retrying at the returned cycle (when the blocking fills drain)
+        # must succeed: the contract callers rely on for progress.
         shared = hierarchy.shared
-        drain_cycle = 5_000
-        for _ in range(shared._mshr_limit):
-            shared._register_fill(drain_cycle)
-        port = hierarchy.port
-        refused = _req(line=0x4000, cycle=10)
-        assert not port.try_send(refused)
-        retry = MemRequest(0x4000, port.retry_at, "load", core=0,
-                           gate_cycle=port.retry_at, gated=True)
-        assert port.try_send(retry)
-        assert port.recv().done_cycle >= retry.cycle
+        _fill_mshr_pool(shared, 5_000)
+        addr = 0x4000 << hierarchy._line_shift
+        refused = hierarchy.load(addr, now=10)
+        assert refused.level == "RETRY"
+        assert shared.accept_at(0x4000, refused.done_cycle, "demand", 0) == 0
+        retry = hierarchy.load(addr, now=refused.done_cycle)
+        assert retry.level == "DRAM"
+        assert retry.done_cycle >= refused.done_cycle
