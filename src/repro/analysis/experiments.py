@@ -32,8 +32,7 @@ import os
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
-from ..config import (CONFIG_BUILDERS, SamplingConfig, build_named_config,
-                      validate_share)
+from ..config import CONFIG_BUILDERS, SamplingConfig, build_named_config
 from ..core import simulate
 from ..workloads import medium_high_names, workload_names
 
@@ -62,22 +61,6 @@ def cell_key(workload: str, config_name: str, chain_stats: bool,
     variant = "+chains" if chain_stats else ""
     return (f"{workload}/{config_name}{variant}"
             f"/{instructions}/w{warmup}{suffix}")
-
-
-def multicore_suffix(cores: int, share: str,
-                     workloads: Sequence[str]) -> str:
-    """Key suffix for multi-core cells; empty for ``cores <= 1`` so every
-    existing single-core key stays byte-identical under KEY_SCHEMA=3.
-
-    The suffix pins the full shared-system shape: core count, the share
-    level (``llc,dram`` → ``llc+dram``), and the per-core workload list
-    in core order (core order is semantic — it decides warm-up order and
-    heap tie-breaks).
-    """
-    if cores <= 1:
-        return ""
-    return (f"/mc{cores}.{share.replace(',', '+')}."
-            + "+".join(workloads))
 
 
 class ExperimentMatrix:
@@ -173,54 +156,6 @@ class ExperimentMatrix:
             self._persist_trace(workload, config_name, chain_stats, tracer)
         self.store(workload, config_name, chain_stats, stats)
         return stats
-
-    def get_multicore(self, workloads: Sequence[str], config_name: str,
-                      share: str = "llc,dram") -> dict[str, Any]:
-        """Stats dict for one multi-core cell, simulating on first use.
-
-        ``workloads`` is the per-core workload list in core order (the
-        order is part of the key — it fixes warm-up order and heap
-        tie-breaks, so permutations are different cells).  Every core
-        runs the same named config.  The payload is
-        :meth:`repro.multicore.MulticoreResult.to_dict`:
-        ``{"per_core": [stats, ...], "shared": {...}}``.
-
-        Multi-core cells are detailed-tier only — the sampled tier's
-        fast-forward/window machinery drives a single processor with a
-        private hierarchy (see :class:`~repro.memory.SharedHierarchyError`).
-        """
-        if config_name not in CONFIG_BUILDERS:
-            raise ValueError(f"unknown config {config_name!r}")
-        if self.sampling is not None and self.sampling.is_sampled:
-            raise ValueError(
-                "multi-core cells are detailed-tier only; build the "
-                "matrix without a sampled SamplingConfig")
-        share = validate_share(share)
-        workload_list = [str(w) for w in workloads]
-        cores = len(workload_list)
-        if cores < 2:
-            raise ValueError(
-                "get_multicore() needs >= 2 workloads; single-core "
-                "cells go through get()")
-        key = cell_key(workload_list[0], config_name, False,
-                       self.instructions, self.warmup,
-                       multicore_suffix(cores, share, workload_list))
-        cached = self._results.get(key)
-        if cached is not None:
-            return cached
-        from ..multicore import simulate_multicore
-        result = simulate_multicore(
-            workload_list,
-            cores=cores,
-            configs=[config_name] * cores,
-            share=share,
-            max_instructions=self.instructions,
-            warmup_instructions=self.warmup,
-        )
-        payload = result.to_dict()
-        self._results[key] = payload
-        self._dirty = True
-        return payload
 
     def _persist_trace(self, workload: str, config_name: str,
                        chain_stats: bool, tracer) -> Path:

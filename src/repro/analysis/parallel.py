@@ -38,16 +38,7 @@ class CellSpec(NamedTuple):
 
     ``tier`` selects the execution tier (``"detailed"`` or
     ``"two-level"``); the ramp/window/stride plan only matters for
-    sampled cells and stays zero otherwise, so detailed specs pickle
-    and compare exactly as before.
-
-    ``cores`` > 1 makes the spec a multi-core cell (detailed tier
-    only): ``workloads`` names the per-core workload list
-    (comma-joined, core order), ``share`` the share level, and the
-    worker runs :func:`repro.multicore.simulate_multicore` with
-    ``config_name`` on every core.  Single-core specs keep all three
-    fields at their defaults, so their pickled shape and equality are
-    unchanged.
+    sampled cells and stays zero otherwise.
     """
 
     workload: str
@@ -59,15 +50,9 @@ class CellSpec(NamedTuple):
     ramp: int = 0
     window: int = 0
     stride: int = 0
-    cores: int = 1
-    share: str = "llc,dram"
-    workloads: str = ""
 
     @property
     def label(self) -> str:
-        if self.cores > 1:
-            return (f"{self.workloads or self.workload}/{self.config_name}"
-                    f" [mc{self.cores}:{self.share}]")
         suffix = "+chains" if self.chain_stats else ""
         tier = f" [{self.tier}]" if self.tier != "detailed" else ""
         return f"{self.workload}/{self.config_name}{suffix}{tier}"
@@ -109,24 +94,6 @@ def simulate_cell(spec: CellSpec) -> dict[str, Any]:
     """Simulate one matrix cell (the worker entry point)."""
     from ..config import SamplingConfig, build_named_config
     from ..core import simulate
-
-    if spec.cores > 1:
-        if spec.tier != "detailed":
-            raise ValueError(
-                "multi-core cells are detailed-tier only "
-                f"(got tier={spec.tier!r})")
-        from ..multicore import simulate_multicore
-        workload_list = ((spec.workloads or spec.workload).split(",")
-                         if (spec.workloads or spec.workload) else [])
-        result = simulate_multicore(
-            workload_list,
-            cores=spec.cores,
-            configs=[spec.config_name] * spec.cores,
-            share=spec.share,
-            max_instructions=spec.instructions,
-            warmup_instructions=spec.warmup,
-        )
-        return result.to_dict()
 
     config = build_named_config(spec.config_name)
     if spec.chain_stats:

@@ -20,7 +20,6 @@ class PhysicalRegisterFile:
             raise ValueError("need more physical than architectural registers")
         self.num_regs = num_regs
         self.value = [0] * num_regs
-        self.ready = bytearray([0]) * 1
         self.ready = bytearray(num_regs)
         self.poison = bytearray(num_regs)
         self.producer_seq = [-1] * num_regs
@@ -29,11 +28,6 @@ class PhysicalRegisterFile:
         self.value[phys] = value
         self.ready[phys] = 1
         self.poison[phys] = 1 if poisoned else 0
-
-    def mark_pending(self, phys: int, producer_seq: int) -> None:
-        self.ready[phys] = 0
-        self.poison[phys] = 0
-        self.producer_seq[phys] = producer_seq
 
 
 class RenameState:
@@ -54,9 +48,6 @@ class RenameState:
 
     def free_count(self) -> int:
         return len(self.free_list)
-
-    def alloc(self) -> int:
-        return self.free_list.pop()
 
     def free(self, phys: int) -> None:
         self.free_list.append(phys)

@@ -14,11 +14,6 @@ Commands
     experiment matrix (running any missing cells).
 ``suite``
     Regenerate every figure/table (the full evaluation).
-``bench-throughput``
-    Measure simulator throughput (KIPS: committed kilo-instructions per
-    host second) over a workload x mode grid and write
-    ``BENCH_sim_throughput.json``; optionally gate on a committed
-    baseline (``--check``) or print a cProfile report (``--profile``).
 ``verify``
     Differentially fuzz the OoO core against the functional interpreter
     oracle: random structured programs, every core mode, retirement
@@ -38,7 +33,6 @@ import sys
 from typing import Callable, Optional, Sequence
 
 from .analysis import ExperimentMatrix, figures, render, write_report
-from .analysis import bench as bench_mod
 from .analysis.parallel import SimSpec, print_progress, simulate_configs
 from .analysis.sweeps import CANNED_SWEEPS, run_named_sweep
 from .config import (CONFIG_BUILDERS, SAMPLING_TIERS, SamplingConfig,
@@ -116,8 +110,8 @@ _config_list = _known_list("config", tuple(CONFIG_BUILDERS))
 _PLAN_DEFAULTS = SamplingConfig()
 
 
-def _add_tier_args(sub, tiers: Sequence[str] = SAMPLING_TIERS) -> None:
-    sub.add_argument("--tier", choices=tuple(tiers), default="detailed",
+def _add_tier_args(sub) -> None:
+    sub.add_argument("--tier", choices=SAMPLING_TIERS, default="detailed",
                      help="execution tier: 'detailed' simulates every "
                           "instruction; 'two-level' samples detailed "
                           "windows over a functional fast-forward stream")
@@ -139,7 +133,7 @@ def _add_tier_args(sub, tiers: Sequence[str] = SAMPLING_TIERS) -> None:
 
 def _sampling_from_args(args) -> Optional[SamplingConfig]:
     """The two-level plan the tier flags describe, or ``None`` for the
-    detailed tier (``--tier both`` on bench-throughput samples too)."""
+    detailed tier."""
     if args.tier == "detailed":
         return None
     return SamplingConfig(tier="two-level", ramp_instructions=args.ramp,
@@ -203,36 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--instructions", type=_positive_int, default=None)
     suite.add_argument("--jobs", type=int, default=None,
                        help="worker processes (default: all usable CPUs)")
-
-    bench = sub.add_parser(
-        "bench-throughput",
-        help="measure simulator throughput (KIPS) and track regressions")
-    bench.add_argument("--workloads", nargs="+", type=_workload,
-                       default=list(bench_mod.DEFAULT_WORKLOADS))
-    bench.add_argument("--modes", nargs="+", choices=sorted(bench_mod.MODES),
-                       default=list(bench_mod.MODES))
-    bench.add_argument("--instructions", type=_positive_int,
-                       default=bench_mod.DEFAULT_INSTRUCTIONS)
-    bench.add_argument("--warmup", type=_non_negative_int,
-                       default=bench_mod.DEFAULT_WARMUP)
-    bench.add_argument("--reps", type=_positive_int,
-                       default=bench_mod.DEFAULT_REPS)
-    bench.add_argument("--ff-lane", choices=bench_mod.FF_LANE_CHOICES,
-                       default=None,
-                       help="fast-forward lane for two-level cells; "
-                            "'both' measures each lane and reports the "
-                            "jit_speedup section (default: REPRO_FF_LANE "
-                            "env, then 'jit')")
-    _add_tier_args(bench, tiers=(*SAMPLING_TIERS, "both"))
-    bench.add_argument("--output", default="BENCH_sim_throughput.json")
-    bench.add_argument("--before", default=None, metavar="JSON",
-                       help="embed a prior run as the 'before' section")
-    bench.add_argument("--check", default=None, metavar="JSON",
-                       help="fail on KIPS regression vs this baseline file")
-    bench.add_argument("--tolerance", type=float, default=0.30,
-                       help="allowed fractional regression for --check")
-    bench.add_argument("--profile", type=int, default=None, metavar="N",
-                       help="cProfile one cell and print the top N entries")
 
     verify = sub.add_parser(
         "verify",
@@ -495,73 +459,6 @@ def _cmd_suite(args) -> int:
     return 0
 
 
-def _print_phase_table(doc) -> None:
-    """Per-phase wall-time breakdown of every two-level measurement, one
-    row per cell and fast-forward lane."""
-    rows = [cell for cell in doc.get("results", [])
-            if cell.get("tier") == "two-level"]
-    if not rows:
-        return
-    print("\nper-phase seconds (two-level):")
-    print(f"{'cell':22s} {'lane':6s} {'ff':>7s} {'translate':>9s} "
-          f"{'detailed':>8s} {'total':>7s}")
-    for cell in rows:
-        print(f"{cell['workload'] + '/' + cell['mode']:22s} "
-              f"{cell.get('ff_lane', '?'):6s} "
-              f"{cell.get('ff_seconds', 0.0):7.3f} "
-              f"{cell.get('translate_seconds', 0.0):9.3f} "
-              f"{cell.get('detailed_seconds', 0.0):8.3f} "
-              f"{cell.get('sim_seconds', 0.0):7.3f}")
-
-
-def _cmd_bench_throughput(args) -> int:
-    if args.profile is not None:
-        report = bench_mod.profile_cell(
-            args.workloads[0], args.modes[0], args.instructions, args.warmup,
-            top=args.profile)
-        print(report)
-        return 0
-    tiers = (("detailed", "two-level") if args.tier == "both"
-             else (args.tier,))
-    if args.ff_lane == "both":
-        ff_lanes = ("jit", "interp")
-    elif args.ff_lane:
-        ff_lanes = (args.ff_lane,)
-    else:
-        ff_lanes = None
-    doc = bench_mod.run_benchmark(
-        workloads=args.workloads, modes=args.modes,
-        instructions=args.instructions, warmup=args.warmup, reps=args.reps,
-        tiers=tiers, plan=_sampling_from_args(args), ff_lanes=ff_lanes,
-        progress=print)
-    if args.before:
-        doc = bench_mod.attach_before(doc, bench_mod.load_results(args.before))
-    path = bench_mod.write_results(doc, args.output)
-    print(f"\ngeomean KIPS: " + "  ".join(
-        f"{mode}={kips:.1f}" for mode, kips in doc["geomean_kips"].items()))
-    if "two_level_speedup" in doc:
-        speedup = doc["two_level_speedup"]
-        print("two-level speedup: " + "  ".join(
-            f"{mode}={x:.1f}x" for mode, x in speedup["geomean"].items())
-            + f"  overall={speedup['overall']:.1f}x")
-    if "jit_speedup" in doc:
-        jit = doc["jit_speedup"]
-        print("jit ff speedup:    " + "  ".join(
-            f"{cell}={x:.2f}x" for cell, x in jit["per_cell"].items())
-            + f"  geomean={jit['geomean']:.2f}x")
-    _print_phase_table(doc)
-    print(f"written to {path}")
-    if args.check:
-        failures = bench_mod.check_regression(
-            doc, bench_mod.load_results(args.check), args.tolerance)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION {failure}", file=sys.stderr)
-            return 1
-        print(f"throughput within {args.tolerance:.0%} of {args.check}")
-    return 0
-
-
 def _cmd_verify(args) -> int:
     from .verify import DEFAULT_CONFIGS, run_verify
 
@@ -646,8 +543,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_figure(args)
     if args.command == "suite":
         return _cmd_suite(args)
-    if args.command == "bench-throughput":
-        return _cmd_bench_throughput(args)
     if args.command == "verify":
         return _cmd_verify(args)
     if args.command == "trace":

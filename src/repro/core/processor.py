@@ -1380,7 +1380,8 @@ class Processor:
                 uop.dest_phys = new_phys
                 uop.old_phys = rat[dest]
                 rat[dest] = new_phys
-                # Inlined prf.mark_pending(new_phys, seq).
+                # The new register is pending: not ready, not poisoned,
+                # produced by this uop.
                 ready_bits[new_phys] = 0
                 poison[new_phys] = 0
                 producer_seq[new_phys] = seq

@@ -63,9 +63,8 @@ def run_two_tier(
 
     The processor is expected to be warmed up already (or fresh); its
     ``stats`` afterwards describe the detailed bursts.  Host time spent
-    in each tier is measured separately so callers can report detailed
-    KIPS without folding fast-forward time in (see
-    :mod:`repro.analysis.bench`).  ``ff_lane`` selects the fast-forward
+    in each tier is measured separately (``detailed_seconds``,
+    ``fast_forward_seconds``).  ``ff_lane`` selects the fast-forward
     lane (``"interp"``/``"jit"``) per gap; ``None`` defers to the
     processor's configured default.  Block-translation host time (jit
     lane) lands inside ``fast_forward_seconds`` and is also broken out

@@ -11,14 +11,15 @@ detailed run's headline metrics within these tolerances:
 * ``runahead_share_abs`` — absolute error in the fraction of cycles
   spent in any runahead mode (traditional + buffer).
 
-The bounds were calibrated over the four default bench workloads x
+The bounds were calibrated over mcf, milc, libquantum and lbm x
 {baseline, rab, rab_cc} at 200k and 300k instruction budgets, default
 plan (ramp 500 / window 1500 / stride 40000, a 5% detailed share):
 worst observed errors were IPC 8.3% relative, MPKI 4.2 absolute,
 runahead share 0.087 absolute.  Each gate is asserted to bite by
-tests/test_fastpath.py.  EXPERIMENTS.md states which figures may rely
-on sampling under this contract (sim-throughput sweeps) and which must
-stay fully detailed (all committed paper figures).
+tests/test_fastpath.py.  EXPERIMENTS.md states which work may rely on
+sampling under this contract (speed benchmarks, soak runs, exploratory
+sweeps) and which must stay fully detailed (all committed paper
+figures).
 
 The module also holds the equality checks the identity gates use:
 :func:`stats_fingerprint` for run payloads and :func:`snapshot_bytes`

@@ -46,7 +46,6 @@ class BranchPredictor:
 
     def __init__(self, config: BranchPredictorConfig) -> None:
         self.config = config
-        self._gshare = bytearray([1]) * 1  # replaced below (keep linters calm)
         self._gshare = bytearray([1] * (1 << config.gshare_bits))
         self._bimodal = bytearray([1] * (1 << config.bimodal_bits))
         self._chooser = bytearray([1] * (1 << config.chooser_bits))

@@ -91,26 +91,6 @@ class FetchUnit:
         self._line_ready.clear()
         self._last_line = -1
 
-    def _icache_ready(self, pc: int, now: int) -> int:
-        """Cycle at which the line containing ``pc`` can feed decode.
-
-        The L1I hit latency is pipelined (hidden by the front-end depth),
-        so a hit is available immediately; only LLC/DRAM instruction
-        misses stall fetch."""
-        addr = pc * INST_BYTES
-        line = self.hierarchy.line_of(addr)
-        line_ready = self._line_ready
-        ready = line_ready.get(line)
-        if ready is None:
-            done = self.hierarchy.ifetch(addr, now)
-            ready = now if done - now <= self.hierarchy.l1i.latency else done
-            line_ready[line] = ready
-            if len(line_ready) > self._line_ready_cap:
-                line_ready.popitem(last=False)   # evict least recently used
-        else:
-            line_ready.move_to_end(line)
-        return ready
-
     def fetch_cycle(self, now: int, budget: Optional[int] = None
                     ) -> list[FetchedUop]:
         """Fetch up to ``budget`` (default: width) uops along the predicted
@@ -129,7 +109,10 @@ class FetchUnit:
         predictor = self.predictor
         while len(group) < budget:
             pc = self.pc
-            # Inlined _icache_ready with an MRU same-line shortcut.
+            # Cycle at which pc's I-cache line can feed decode.  The L1I
+            # hit latency is pipelined (hidden by the front-end depth), so
+            # only LLC/DRAM instruction misses stall fetch.  Re-reading the
+            # previous fetch's line takes the MRU shortcut.
             line = pc >> pc_line_shift
             if line == self._last_line:
                 ready = self._last_ready

@@ -23,7 +23,6 @@ class RunaheadBuffer:
         self._chain: tuple[ChainUop, ...] = ()
         self._cursor = 0
         self.iterations_started = 0
-        self.uops_issued = 0
 
     def load_chain(self, chain: tuple[ChainUop, ...]) -> None:
         if len(chain) > self.capacity:
@@ -52,8 +51,8 @@ class RunaheadBuffer:
         return self._chain[self._cursor]
 
     def take(self) -> ChainUop:
-        """One uop, advancing the loop cursor (== ``next_uops(1)[0]`` but
-        without the list allocation — the rename stage's hot path)."""
+        """One uop, advancing the loop cursor; after the last uop of the
+        chain the loop restarts from the first."""
         chain = self._chain
         if not chain:
             raise RuntimeError("runahead buffer is empty")
@@ -63,21 +62,7 @@ class RunaheadBuffer:
         uop = chain[cursor]
         cursor += 1
         self._cursor = 0 if cursor == len(chain) else cursor
-        self.uops_issued += 1
         return uop
-
-    def next_uops(self, width: int) -> list[ChainUop]:
-        """Up to ``width`` uops, wrapping around the chain (the loop)."""
-        if not self._chain:
-            return []
-        out: list[ChainUop] = []
-        for _ in range(width):
-            if self._cursor == 0:
-                self.iterations_started += 1
-            out.append(self._chain[self._cursor])
-            self._cursor = (self._cursor + 1) % len(self._chain)
-        self.uops_issued += len(out)
-        return out
 
     def deactivate(self) -> None:
         self._chain = ()

@@ -119,37 +119,6 @@ class TestExperimentMatrix:
         matrix.warmup = 600
         assert matrix._key("mcf", "baseline", False) != key
 
-    def test_multicore_cells_cached_and_disk_roundtripped(self, tmp_path):
-        path = tmp_path / "cache.json"
-        m1 = ExperimentMatrix(instructions=400, warmup=500, cache_path=path)
-        first = m1.get_multicore(["calculix", "calculix"], "baseline")
-        assert first is m1.get_multicore(["calculix", "calculix"],
-                                         "baseline")
-        assert len(first["per_core"]) == 2
-        assert "contention" in first["shared"]
-        m1.save()
-        m2 = ExperimentMatrix(instructions=400, warmup=500, cache_path=path)
-        assert m2.get_multicore(["calculix", "calculix"],
-                                "baseline") == first
-        # Distinct from the single-core cell of the same workload/config.
-        assert not m2.is_cached("calculix", "baseline")
-
-    def test_multicore_rejected_on_sampled_matrices(self, tmp_path):
-        from repro.config import SamplingConfig
-        plan = SamplingConfig(tier="two-level", ramp_instructions=100,
-                              window_instructions=200,
-                              stride_instructions=1000)
-        matrix = ExperimentMatrix(instructions=5000, warmup=500,
-                                  cache_path=None, sampling=plan)
-        with pytest.raises(ValueError, match="detailed"):
-            matrix.get_multicore(["mcf", "lbm"], "baseline")
-        plain = ExperimentMatrix(instructions=400, warmup=500,
-                                 cache_path=None)
-        with pytest.raises(ValueError):
-            plain.get_multicore(["mcf"], "baseline")  # N=1 → get()
-        with pytest.raises(ValueError):
-            plain.get_multicore(["mcf", "lbm"], "not_a_config")
-
     def test_changed_warmup_invalidates_cache(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.json"
         m1 = ExperimentMatrix(instructions=400, warmup=500, cache_path=path)

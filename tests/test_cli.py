@@ -59,6 +59,7 @@ def test_compare_with_jobs_matches_serial(capsys):
     ["run", "mcf", "--tier", "two-level", "--stride", "1000"],
     ["run", "mcf", "--instructions", "-5"],
     ["run", "mcf", "--warmup", "-1"],
+    ["bench-throughput"],
 ], ids=lambda argv: "-".join(argv))
 def test_bad_input_is_an_error_not_a_traceback(argv, capsys):
     """Bad names, plans and budgets stop at argument parsing: argparse's

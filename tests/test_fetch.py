@@ -135,10 +135,9 @@ def test_line_ready_retouch_refreshes_lru():
     # evicts the least-recently used line instead.
     fetch, _ = make_fetch(straight_line(16 * 4))
     fetch._line_ready_cap = 2
-    fetch._icache_ready(0, now=0)    # line 0
-    fetch._icache_ready(16, now=0)   # line 1
-    fetch._icache_ready(0, now=0)    # line 0 again: now most recent
-    fetch._icache_ready(32, now=0)   # line 2 evicts line 1
+    for pc in (0, 16, 0, 32):   # lines 0, 1, 0 again, then 2
+        fetch.pc = pc
+        fetch.fetch_cycle(now=0, budget=1)
     assert set(fetch._line_ready) == {0, 2}
 
 

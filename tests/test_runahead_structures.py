@@ -124,7 +124,7 @@ class TestRunaheadBuffer:
         rab = RunaheadBuffer(capacity_uops=8)
         chain = chain_of(3)
         rab.load_chain(chain)
-        out = rab.next_uops(7)
+        out = [rab.take() for _ in range(7)]
         expected = [chain[i % 3] for i in range(7)]
         assert out == expected
         assert rab.iterations_started == 3
@@ -134,7 +134,7 @@ class TestRunaheadBuffer:
         rab.load_chain(chain_of(2))
         first = rab.peek()
         assert rab.peek() == first
-        assert rab.next_uops(1)[0] == first
+        assert rab.take() == first
 
     def test_capacity_enforced(self):
         rab = RunaheadBuffer(capacity_uops=4)
@@ -151,7 +151,8 @@ class TestRunaheadBuffer:
         rab.load_chain(chain_of(2))
         rab.deactivate()
         assert not rab.active
-        assert rab.next_uops(4) == []
+        with pytest.raises(RuntimeError):
+            rab.take()
 
     def test_peek_empty_raises(self):
         rab = RunaheadBuffer()
@@ -161,6 +162,7 @@ class TestRunaheadBuffer:
     def test_reload_resets_cursor(self):
         rab = RunaheadBuffer()
         rab.load_chain(chain_of(3))
-        rab.next_uops(2)
+        rab.take()
+        rab.take()
         rab.load_chain(chain_of(2))
         assert rab.peek().pc == 0
