@@ -25,8 +25,9 @@ def matrix():
     m = ExperimentMatrix()
     simulated = m.prefetch(figures.figure_matrix_cells(),
                            progress=print_progress)
-    if simulated:
-        print(f"matrix: simulated {simulated} missing cells")
+    if simulated.cells:
+        print(f"matrix: simulated {simulated.cells} missing cells in "
+              f"{simulated.runs} runs")
     yield m
     m.save()
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from ..config import CONFIG_BUILDERS, SamplingConfig, build_named_config
 from ..core import simulate
@@ -44,6 +44,16 @@ DEFAULT_WARMUP = int(os.environ.get("REPRO_BENCH_WARMUP", "12000"))
 
 # A cell address: (workload, config_name, chain_stats).
 Cell = tuple[str, str, bool]
+
+
+class Prefetched(NamedTuple):
+    """What :meth:`ExperimentMatrix.prefetch` simulated: the missing
+    cells, and the detailed runs that served them (cells whose configs
+    differ only in their runahead entry policy share runs; see
+    :func:`repro.core.simulate_cohort`)."""
+
+    cells: int
+    runs: int
 
 
 def tier_suffix(tier: str, ramp: int, window: int, stride: int) -> str:
@@ -205,20 +215,21 @@ class ExperimentMatrix:
     def prefetch(self, cells: Sequence[Cell],
                  jobs: Optional[int] = None,
                  progress: Optional[Callable[[Cell, int, int], None]] = None,
-                 ) -> int:
+                 ) -> Prefetched:
         """Simulate every missing cell, fanning out across processes.
 
-        Results are merged back and flushed to disk in one atomic save.
-        Returns the number of cells simulated.  Parallel runs produce
-        byte-identical stats to serial ones — workers execute the exact
-        same deterministic simulation, and the dicts round-trip through
-        pickle unchanged.
+        Results are merged back and flushed to disk in one atomic save;
+        every cell is stored under its own key, also when it shared a run.
+        Returns how many cells were simulated and in how many runs.
+        Parallel runs produce byte-identical stats to serial ones —
+        workers execute the exact same deterministic simulation, and the
+        dicts round-trip through pickle unchanged.
         """
         from .parallel import CellSpec, simulate_cells
 
         missing = self.missing_cells(cells)
         if not missing:
-            return 0
+            return Prefetched(0, 0)
         s = self.sampling
         if s is not None and s.is_sampled:
             tier_fields = (s.tier, s.ramp_instructions,
@@ -228,12 +239,12 @@ class ExperimentMatrix:
         specs = [CellSpec(w, c, chains, self.instructions, self.warmup,
                           *tier_fields)
                  for w, c, chains in missing]
-        stats_list = simulate_cells(specs, jobs=jobs, progress=progress)
+        batch = simulate_cells(specs, jobs=jobs, progress=progress)
         for (workload, config_name, chain_stats), stats in zip(missing,
-                                                               stats_list):
+                                                               batch.stats):
             self.store(workload, config_name, chain_stats, stats)
         self.save()
-        return len(missing)
+        return Prefetched(len(missing), batch.runs)
 
     def run_suite(self, config_names: list[str],
                   workloads: Optional[list[str]] = None,

@@ -69,7 +69,7 @@ def run_sweep(
         config = configure(value)
         specs.extend(SimSpec(name, config, instructions, warmup, str(value))
                      for name in benches)
-    stats = simulate_configs(specs, jobs=jobs)
+    stats = simulate_configs(specs, jobs=jobs).stats
     ipcs = [s["ipc"] for s in stats]
     baselines = dict(zip(benches, ipcs))
     points = []

@@ -186,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--instructions", type=_positive_int,
                          default=10_000)
     compare.add_argument("--warmup", type=_non_negative_int, default=12_000)
-    compare.add_argument("--jobs", type=int, default=None,
+    compare.add_argument("--jobs", type=_positive_int, default=None,
                          help="worker processes (default: all usable CPUs)")
 
     figure = sub.add_parser("figure", help="regenerate one paper figure")
@@ -195,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     suite = sub.add_parser("suite", help="regenerate all figures/tables")
     suite.add_argument("--instructions", type=_positive_int, default=None)
-    suite.add_argument("--jobs", type=int, default=None,
+    suite.add_argument("--jobs", type=_positive_int, default=None,
                        help="worker processes (default: all usable CPUs)")
 
     verify = sub.add_parser(
@@ -248,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--benches", nargs="+", type=_workload, default=None)
     sweep.add_argument("--instructions", type=_positive_int, default=None)
     sweep.add_argument("--warmup", type=_non_negative_int, default=None)
-    sweep.add_argument("--jobs", type=int, default=None,
+    sweep.add_argument("--jobs", type=_positive_int, default=None,
                        help="worker processes (default: all usable CPUs)")
 
     return parser
@@ -408,7 +408,7 @@ def _cmd_compare(args) -> int:
     specs = [SimSpec(args.workload, build_named_config(config_name),
                      args.instructions, args.warmup, config_name)
              for config_name in args.configs]
-    results = simulate_configs(specs, jobs=args.jobs)
+    results = simulate_configs(specs, jobs=args.jobs).stats
     header = (f"{'config':16s} {'ipc':>7s} {'speedup':>8s} {'mpki':>6s} "
               f"{'dram':>6s} {'energy':>8s}")
     print(f"{args.workload}:")
@@ -449,8 +449,9 @@ def _cmd_suite(args) -> int:
     matrix = _matrix(args.instructions)
     simulated = matrix.prefetch(figures.figure_matrix_cells(),
                                 jobs=args.jobs, progress=print_progress)
-    if simulated:
-        print(f"simulated {simulated} missing cells")
+    if simulated.cells:
+        print(f"simulated {simulated.cells} missing cells in "
+              f"{simulated.runs} runs")
     for fig_id, (extractor, filename) in FIGURES.items():
         table = extractor(matrix)
         path = write_report(table, filename)

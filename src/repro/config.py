@@ -222,6 +222,19 @@ class SystemConfig:
             raise ValueError("chain length cap cannot exceed buffer capacity")
 
 
+def cohort_key(config: SystemConfig) -> str | None:
+    """What a configuration shares with others that can ride one
+    simulated trajectory (:func:`repro.core.simulate_cohort`): everything
+    but the entry policy, i.e. ``runahead.mode``, ``.enhancements`` and
+    ``.collect_chain_stats``.  ``None`` for runahead off: such a core
+    never makes an entry decision, so it runs alone."""
+    if config.runahead.mode is RunaheadMode.NONE:
+        return None
+    return repr(replace(config, runahead=replace(
+        config.runahead, mode=RunaheadMode.TRADITIONAL, enhancements=False,
+        collect_chain_stats=False)))
+
+
 SAMPLING_TIERS = ("detailed", "two-level")
 
 

@@ -2,7 +2,7 @@
 
 from .dataflow import DataflowTracker
 from .processor import Processor
-from .sim import SimulationResult, simulate
+from .sim import SimulationResult, simulate, simulate_cohort
 from .stats import ChainAnalysis, SimStats
 from .trace import CommitTrace, CommittedOp, render_interval_timeline
 
@@ -16,4 +16,5 @@ __all__ = [
     "SimulationResult",
     "render_interval_timeline",
     "simulate",
+    "simulate_cohort",
 ]

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Optional
+from dataclasses import replace
+from typing import Optional, Sequence
 
 from ..backend import ForwardResult, InFlightUop, PhysicalRegisterFile, \
     RenameState, StoreQueue
-from ..config import RunaheadMode, SystemConfig
+from ..config import RunaheadConfig, RunaheadMode, SystemConfig, cohort_key
 from ..frontend import BranchPredictor, FetchedUop, FetchUnit, INST_BYTES
 from ..isa import (
     MASK64,
@@ -52,16 +53,18 @@ from ..isa.uop import (
 )
 from ..memory import MemoryHierarchy, SharedHierarchyError
 from ..runahead import (
-    ChainCache,
+    TRADITIONAL,
+    ChainGenResult,
     ChainUop,
+    EntryPolicy,
     RunaheadBuffer,
     RunaheadCache,
     RunaheadPolicyState,
-    chain_signature,
     generate_chain,
+    same_path,
 )
 from .dataflow import DataflowTracker
-from .stats import SimStats
+from .stats import ChainAnalysis, SimStats
 
 _WATCHDOG_CYCLES = 1_000_000
 # "No such cycle" for the clock's wake-up candidates.
@@ -69,7 +72,16 @@ _NEVER = 1 << 62
 
 
 class Processor:
-    """One simulated core plus its memory system."""
+    """One simulated core plus its memory system.
+
+    ``riders`` makes the core serve a cohort (:func:`repro.core.
+    simulate_cohort`): the runahead configs of other configurations that
+    differ from ``config`` only in their entry policy
+    (:func:`~repro.config.cohort_key`).  Each member, ``config``'s own
+    policy (the lead) first, keeps its own :class:`~repro.runahead.
+    EntryPolicy`; they share this core's trajectory until their entry
+    decisions differ, and :meth:`member_stats` reports each one's run.
+    """
 
     def __init__(
         self,
@@ -78,11 +90,21 @@ class Processor:
         memory: Optional[DataMemory] = None,
         init_regs: Optional[list[int]] = None,
         hierarchy: Optional[MemoryHierarchy] = None,
+        riders: Sequence[RunaheadConfig] = (),
     ) -> None:
         if config is None:
             from ..config import default_system
             config = default_system()
         config.validate()
+        if riders:
+            key = cohort_key(config)
+            if key is None or any(
+                    cohort_key(replace(config, runahead=ra)) != key
+                    for ra in riders):
+                raise ValueError(
+                    "cohort members must have runahead on and differ from "
+                    "the lead only in runahead.mode, .enhancements and "
+                    ".collect_chain_stats")
         self.config = config
         self.program = program
         self.memory = memory if memory is not None else DataMemory()
@@ -120,20 +142,28 @@ class Processor:
         ra = config.runahead
         self.mode = "normal"
         self._in_ra = False   # mirrors mode != "normal" for the hot path
-        self.ra_policy = RunaheadPolicyState(ra)
+        # The entry policies this trajectory serves, in construction
+        # order (member_stats reports them so), and the live ones, the
+        # lead first (a rider detaches where its decision differs).
+        self._policies = [EntryPolicy(ra)] + [EntryPolicy(r) for r in riders]
+        self.members = list(self._policies)
+        # Algorithm 1's result at the current decision point, shared by
+        # every member that generates or checks a chain there.
+        self._chain_result: Optional[ChainGenResult] = None
         self.runahead_cache = RunaheadCache(
             ra.runahead_cache_bytes, ra.runahead_cache_assoc,
             ra.runahead_cache_line,
         )
-        self.chain_cache = ChainCache(ra.chain_cache_entries) if ra.mode in (
-            RunaheadMode.BUFFER_CHAIN_CACHE, RunaheadMode.HYBRID
-        ) else None
         self.rab = RunaheadBuffer(ra.buffer_uops)
         self._checkpoint: Optional[list[int]] = None
         self._predictor_checkpoint = None
         self._blocking_pc = -1
         self._exit_cycle = -1
         self._rab_start_cycle = -1
+        # (start cycle, member) for members whose chain reaches the
+        # buffer after _rab_start_cycle, the earliest start of the
+        # interval (see _dispatch_from_buffer).
+        self._rab_pending: Sequence[tuple[int, EntryPolicy]] = ()
         self._interval_pseudo_retired = 0
         # Program-order pseudo-retirements only: RAB chain-loop uops
         # re-execute the same few instructions and do not advance the
@@ -194,8 +224,9 @@ class Processor:
         # Analytics.
         self.stats = SimStats(workload=program.name)
         self.tracker = (
-            DataflowTracker(self.stats.chains)
-            if ra.collect_chain_stats else None
+            DataflowTracker()
+            if any(m.config.collect_chain_stats for m in self._policies)
+            else None
         )
         self._tracking = self.tracker is not None
 
@@ -214,7 +245,6 @@ class Processor:
         self._wake_cap = _NEVER
         self._dispatch_stall = -1
         self._last_progress = 0
-        self.ev: dict[str, int] = {}
         # Optional observer called as commit_hook(uop, cycle) for every
         # architecturally committed instruction (see repro.core.trace).
         # Richer observability — typed event traces, Perfetto export,
@@ -230,6 +260,17 @@ class Processor:
         # Cumulative instructions executed by fast_forward since
         # construction (part of the warm-state snapshot).
         self.ff_instructions = 0
+
+    @property
+    def ra_policy(self) -> RunaheadPolicyState:
+        """The lead member's policy state (the only one when the core
+        simulates one configuration)."""
+        return self.members[0].state
+
+    @property
+    def chain_cache(self):
+        """The lead member's chain cache, or ``None``."""
+        return self.members[0].chain_cache
 
     def set_cycle_hook(self, hook) -> None:
         """Install a debug observer called as ``hook(self)`` after every
@@ -448,7 +489,7 @@ class Processor:
                     f"no forward progress for {_WATCHDOG_CYCLES} cycles "
                     f"at cycle {self.now} (mode={self.mode})"
                 )
-        if self.ra_policy.current is not None:
+        if self.members[0].state.current is not None:
             self._finish_interval()
         return self._finalize_stats()
 
@@ -646,6 +687,12 @@ class Processor:
                         wake = t
                 elif not queue and not stalled:
                     return nxt   # the buffer dispatches
+                else:
+                    # A member whose chain reaches the buffer later: its
+                    # start cycle is a wake-up too.
+                    for start, _member in self._rab_pending:
+                        if now < start < wake:
+                            wake = start
         return wake
 
     # ------------------------------------------------------------------
@@ -862,108 +909,68 @@ class Processor:
 
     def _maybe_enter_runahead(self, head: InFlightUop, now: int) -> None:
         """Enter a runahead mode for ``head`` (an :meth:`_entry_candidate`)
-        or decline it once."""
-        ra = self.config.runahead
-        remaining = head.done_cycle - now
-        if remaining < self._min_interval:
+        or decline it once.
+
+        Each member's entry policy decides, the lead's first.  A rider
+        whose decision takes another path than the lead's detaches: from
+        here on its run is not this trajectory.  Members that loop the
+        same chain may differ only in when it reaches the buffer (a
+        chain-cache hit skips Algorithm 1): the buffer starts at the
+        earliest of their start cycles and :meth:`_dispatch_from_buffer`
+        settles the others."""
+        if head.done_cycle - now < self._min_interval:
             self._entry_declined_seq = head.seq
             return
-        use_enhancements = ra.enhancements
-        if use_enhancements and ra.mode is not RunaheadMode.HYBRID:
-            if not self.ra_policy.enhancements_allow(
-                self.committed, head.miss_issue_retired
-            ):
-                self._entry_declined_seq = head.seq
-                return
-
-        mode = ra.mode
-        if mode is RunaheadMode.TRADITIONAL:
+        self._chain_result = None
+        members = self.members
+        lead = members[0].decide(self, head)
+        decisions = [lead]
+        if len(members) > 1:
+            live = members[:1]
+            for rider in members[1:]:
+                decision = rider.decide(self, head)
+                if same_path(decision, lead):
+                    live.append(rider)
+                    decisions.append(decision)
+            self.members = members = live
+        if lead is None:
+            self._entry_declined_seq = head.seq
+            return
+        if lead is TRADITIONAL:
             self._enter_traditional(head, now)
-            return
+        else:
+            gen_cycles = min(d.gen_cycles for d in decisions)
+            self._enter_rab(head, lead.chain, gen_cycles, now)
+            if len(decisions) > 1:
+                self._rab_pending = [
+                    (now + d.gen_cycles, member)
+                    for member, d in zip(members, decisions)
+                    if d.gen_cycles > gen_cycles]
+        for member, decision in zip(members, decisions):
+            member.enter(decision, now)
 
-        # Buffer modes: consult the chain cache, then Algorithm 1.
-        chain: Optional[tuple[ChainUop, ...]] = None
-        gen_cycles = 1
-        used_cc = False
-        ev = self.ev
-        if self.chain_cache is not None:
-            cached = self.chain_cache.lookup(head.pc)
-            ev["chain_cache_read"] = ev.get("chain_cache_read", 0) + 1
-            if cached is not None:
-                chain = cached
-                used_cc = True
-                if ra.collect_chain_stats:
-                    self._check_chain_cache_accuracy(head, cached)
-        if chain is None:
-            result = self._generate_chain(head)
-            gen_cycles = result.cycles
-            if mode is RunaheadMode.HYBRID:
-                if not result.found_pc or result.hit_cap:
-                    # Fig. 8 fallback: traditional runahead (gated by the
-                    # enhancement filters, which the hybrid policy uses).
-                    if self.ra_policy.enhancements_allow(
-                        self.committed, head.miss_issue_retired
-                    ):
-                        self.ra_policy.hybrid_traditional_entries += 1
-                        self._enter_traditional(head, now)
-                    else:
-                        self._entry_declined_seq = head.seq
-                    return
-                chain = result.chain
-                self.ra_policy.hybrid_chain_entries += 1
-            else:
-                if not result.usable:
-                    self.ra_policy.entries_blocked_no_chain += 1
-                    self._entry_declined_seq = head.seq
-                    return
-                chain = result.chain
-            if self.chain_cache is not None and chain:
-                self.chain_cache.insert(head.pc, chain)
-                ev["chain_cache_write"] = ev.get("chain_cache_write", 0) + 1
-        elif mode is RunaheadMode.HYBRID:
-            self.ra_policy.hybrid_cc_entries += 1
-        if not chain:
-            self.ra_policy.entries_blocked_no_chain += 1
-            self._entry_declined_seq = head.seq
-            return
-        self._enter_rab(head, chain, gen_cycles, used_cc, now)
-
-    def _generate_chain(self, head: InFlightUop):
-        """Run Algorithm 1 against the stalled ROB and account the
-        generation's energy events.  Kept as a separate method so the
-        observability layer (:mod:`repro.obs`) can shadow it per
-        instance to record chain-extraction events."""
-        ra = self.config.runahead
-        result = generate_chain(
-            self.rob, head, self.store_queue,
-            max_length=ra.max_chain_length,
-            reg_searches_per_cycle=ra.reg_searches_per_cycle,
-            readout_width=ra.chain_readout_width,
-        )
-        self.stats.chain_generations += 1
-        ev = self.ev
-        ev["pc_cam"] = ev.get("pc_cam", 0) + 1
-        ev["destreg_cam"] = ev.get("destreg_cam", 0) + result.reg_searches
-        ev["sq_cam"] = ev.get("sq_cam", 0) + result.sq_searches
-        ev["rob_read"] = ev.get("rob_read", 0) + len(result.chain)
-        self.stats.chain_gen_cycles += result.cycles
+    def _algorithm1(self, head: InFlightUop) -> ChainGenResult:
+        """Algorithm 1 against the stalled ROB, run at most once per
+        decision point: every member that generates a chain, or checks a
+        chain-cache hit, at this point reads the same result."""
+        result = self._chain_result
+        if result is None:
+            ra = self.config.runahead
+            result = self._chain_result = generate_chain(
+                self.rob, head, self.store_queue,
+                max_length=ra.max_chain_length,
+                reg_searches_per_cycle=ra.reg_searches_per_cycle,
+                readout_width=ra.chain_readout_width,
+            )
         return result
 
-    def _check_chain_cache_accuracy(
-        self, head: InFlightUop, cached: tuple[ChainUop, ...]
-    ) -> None:
-        """Fig. 13 instrumentation: does the cached chain equal the chain
-        Algorithm 1 would generate right now?  Analysis only."""
-        ra = self.config.runahead
-        fresh = generate_chain(
-            self.rob, head, self.store_queue,
-            max_length=ra.max_chain_length,
-            reg_searches_per_cycle=ra.reg_searches_per_cycle,
-            readout_width=ra.chain_readout_width,
-        )
-        self.ra_policy.cc_hits_checked += 1
-        if fresh.usable and chain_signature(fresh.chain) == chain_signature(cached):
-            self.ra_policy.cc_hits_exact += 1
+    def _generate_chain(self, head: InFlightUop) -> ChainGenResult:
+        """A chain generation for an entry decision; the calling policy
+        accounts its cycles and energy.  Kept as a separate method so the
+        observability layer (:mod:`repro.obs`) can shadow it per instance
+        to record chain-extraction events; a chain-cache hit's accuracy
+        check reads :meth:`_algorithm1` and records none."""
+        return self._algorithm1(head)
 
     def _take_checkpoint(self, head: InFlightUop, now: int) -> None:
         self._checkpoint = self.rename.arch_values()
@@ -974,7 +981,6 @@ class Processor:
         self._interval_pseudo_retired_arch = 0
         self._committed_at_entry = self.committed
         self.runahead_cache.clear()
-        self.ev["checkpoint"] = self.ev.get("checkpoint", 0) + 1
 
     def _poison_head(self, head: InFlightUop) -> None:
         """Mark the blocking load INV: complete it with a poisoned dest so
@@ -998,13 +1004,13 @@ class Processor:
         self.mode = "runahead"
         self._in_ra = True
         self.stats.traditional_intervals += 1
-        self.ra_policy.begin_interval("traditional", now)
         if self.tracker is not None:
             self.tracker.begin_interval()
 
     def _enter_rab(self, head: InFlightUop, chain: tuple[ChainUop, ...],
-                   gen_cycles: int, used_cc: bool, now: int) -> None:
-        """Enter runahead-buffer mode (§4.3).
+                   gen_cycles: int, now: int) -> None:
+        """Enter runahead-buffer mode (§4.3); ``chain`` reaches the buffer
+        ``gen_cycles`` from ``now``.
 
         Like traditional runahead, the in-flight window keeps executing
         and pseudo-retires — only the *supply* of new uops changes: the
@@ -1020,9 +1026,6 @@ class Processor:
         self.mode = "rab"
         self._in_ra = True
         self.stats.rab_intervals += 1
-        self.ra_policy.begin_interval(
-            "buffer", now, chain_gen_cycles=gen_cycles, used_chain_cache=used_cc
-        )
 
     def _flush_pipeline(self) -> None:
         for uop in self.rob:
@@ -1040,10 +1043,12 @@ class Processor:
         self.fetch.flush()
 
     def _finish_interval(self) -> None:
-        self.ra_policy.end_interval(
-            self.now, self._committed_at_entry, self._interval_pseudo_retired,
-            program_distance=self._interval_pseudo_retired_arch,
-        )
+        for member in self.members:
+            member.state.end_interval(
+                self.now, self._committed_at_entry,
+                self._interval_pseudo_retired,
+                program_distance=self._interval_pseudo_retired_arch,
+            )
 
     def _exit_runahead(self, now: int) -> None:
         was_rab = self.mode == "rab"
@@ -1056,6 +1061,7 @@ class Processor:
         if self._predictor_checkpoint is not None:
             self.predictor.restore_full(self._predictor_checkpoint)
         self.rab.deactivate()
+        self._rab_pending = ()
         self.mode = "normal"
         self._in_ra = False
         self.fetch.redirect(self._blocking_pc, now + 1)
@@ -1262,9 +1268,10 @@ class Processor:
                 self.stats.inv_ops += 1
                 if access.level == "DRAM" and not access.merged:
                     self.stats.runahead_misses_generated += 1
-                    record = self.ra_policy.current
-                    if record is not None:
-                        record.misses_generated += 1
+                    for member in self.members:
+                        record = member.state.current
+                        if record is not None:
+                            record.misses_generated += 1
                     if self.mode == "rab":
                         self.stats.runahead_misses_rab += 1
                     else:
@@ -1284,7 +1291,18 @@ class Processor:
 
     def _dispatch_from_buffer(self, now: int) -> None:
         if self.rab.active:
+            seq = self.seq
             self._dispatch(now, True)
+            if self._rab_pending and self.seq != seq:
+                self._settle_buffer_start(now)
+
+    def _settle_buffer_start(self, now: int) -> None:
+        """The buffer issued at ``now``.  A member whose chain is still on
+        its way would not have, so it detaches; every other member
+        dispatches alike from here on."""
+        late = [member for start, member in self._rab_pending if start > now]
+        self.members = [m for m in self.members if m not in late]
+        self._rab_pending = ()
 
     def _dispatch(self, now: int, from_rab: bool) -> None:
         """Rename and dispatch up to ``width`` uops in order, from the
@@ -1438,10 +1456,12 @@ class Processor:
     # ------------------------------------------------------------------
 
     def _finalize_stats(self) -> SimStats:
+        """Fill ``self.stats`` in for the lead member: the trajectory's
+        fields plus those the lead's entry policy owns."""
         s = self.stats
         s.cycles = self.now
         s.committed_insts = self.committed
-        s.config_name = s.config_name or self.config.runahead.mode.value
+        s.config_name = s.config_name or self.members[0].mode.value
         # Branch predictor.
         s.cond_mispredicts = self.predictor.stats.cond_mispredicts
         if not s.cond_branches:
@@ -1460,7 +1480,6 @@ class Processor:
             a = h._acct
             s.llc_accesses = a.accesses
             s.llc_hits = a.hits
-            llc_fill_hits = a.fill_hits
             s.llc_demand_misses = h.demand_llc_misses()
             s.llc_misses_by_kind = dict(h.llc_misses)
             s.dram_reads = a.dram_reads
@@ -1471,7 +1490,6 @@ class Processor:
         else:
             s.llc_accesses = h.llc.stats.accesses
             s.llc_hits = h.llc.stats.hits
-            llc_fill_hits = h.llc.stats.fill_hits
             s.llc_demand_misses = h.demand_llc_misses()
             s.llc_misses_by_kind = dict(h.llc_misses)
             # DRAM.
@@ -1486,24 +1504,61 @@ class Processor:
             if h.prefetcher is not None:
                 s.prefetches_issued = h.prefetcher.stats.issued
                 s.prefetches_useful = h.prefetcher.stats.useful
-        # Runahead.
-        policy = self.ra_policy
+        s.rab_iterations = self.rab.iterations_started
+        # These stats are always-equal mirrors of the folded counters.
+        s.dispatched_uops = self._ev_rename
+        self.dispatched_total = self._ev_rename
+        s.issued_uops = self._ev_issue
+        s.fetched_uops = self._ev_fetch
+        return self._member_fields(s, self.members[0])
+
+    def member_stats(self) -> list[Optional[SimStats]]:
+        """The last run's stats for each configuration this core serves,
+        in construction order (``config``'s, then ``riders``'), or
+        ``None`` for a member that detached.  The lead's entry is
+        ``self.stats``; a rider's is a copy of it with the fields its own
+        entry policy owns."""
+        out: list[Optional[SimStats]] = []
+        for member in self._policies:
+            if member is self.members[0]:
+                out.append(self.stats)
+            elif member in self.members:
+                s = replace(self.stats, config_name=member.mode.value,
+                            llc_misses_by_kind=dict(
+                                self.stats.llc_misses_by_kind),
+                            dram_by_kind=dict(self.stats.dram_by_kind),
+                            energy_report={}, chains=ChainAnalysis())
+                out.append(self._member_fields(s, member))
+            else:
+                out.append(None)
+        return out
+
+    def _member_fields(self, s: SimStats, member: EntryPolicy) -> SimStats:
+        """Set the fields ``member``'s entry policy owns on ``s``: its
+        filter, chain-cache and chain-generation counters, its energy
+        events, and ``chains`` if it collects chain statistics."""
+        policy = member.state
         s.runahead_intervals = policy.interval_count()
         s.entries_blocked_enh = (
             policy.entries_blocked_short + policy.entries_blocked_overlap
         )
         s.entries_blocked_no_chain = policy.entries_blocked_no_chain
-        s.rab_iterations = self.rab.iterations_started
-        if self.chain_cache is not None:
-            s.chain_cache_hits = self.chain_cache.hits
-            s.chain_cache_misses = self.chain_cache.misses
+        cache = member.chain_cache
+        s.chain_cache_hits = cache.hits if cache is not None else 0
+        s.chain_cache_misses = cache.misses if cache is not None else 0
         s.chain_cache_checked_hits = policy.cc_hits_checked
         s.chain_cache_exact_hits = policy.cc_hits_exact
-        # Energy events: core-side counters plus memory-side structures.
-        # Hot counters are folded into int attributes during simulation;
-        # merge them with the (cold-path) dict entries here.  Both are
-        # cumulative, so repeated run() calls stay correct.
-        events = dict(self.ev)
+        s.chain_generations = member.chain_generations
+        s.chain_gen_cycles = member.chain_gen_cycles
+        if self.tracker is not None:
+            s.chains = (self.tracker.analysis
+                        if member.config.collect_chain_stats
+                        else ChainAnalysis())
+        # Energy events: the policy's cold-path events plus the core's
+        # hot counters (folded into int attributes during simulation)
+        # and the memory-side structures.  All are cumulative, so
+        # repeated run() calls stay correct.
+        events = dict(member.ev)
         fu = self._ev_fu
         dispatch_n = self._ev_rename
         for key, count in (
@@ -1527,14 +1582,12 @@ class Processor:
         ):
             if count:
                 events[key] = events.get(key, 0) + count
-        # These stats are always-equal mirrors of the folded counters.
-        s.dispatched_uops = dispatch_n
-        self.dispatched_total = dispatch_n
-        s.issued_uops = self._ev_issue
-        s.fetched_uops = self._ev_fetch
         events["l1d_access"] = s.l1d_accesses
         events["l1i_access"] = s.l1i_accesses
-        events["llc_access"] = s.llc_accesses + llc_fill_hits
+        h = self.hierarchy
+        fill_hits = (h._acct.fill_hits if h.is_shared
+                     else h.llc.stats.fill_hits)
+        events["llc_access"] = s.llc_accesses + fill_hits
         events["dram_access"] = s.dram_reads + s.dram_writes
         events["dram_activate"] = s.dram_activates
         s.energy_events = events

@@ -6,12 +6,16 @@ This is the main entry point of the public API::
     result = simulate("mcf", make_config(RunaheadMode.BUFFER_CHAIN_CACHE),
                       max_instructions=20_000)
     print(result.stats.ipc, result.energy.total)
+
+:func:`simulate_cohort` runs several configurations that differ only in
+their runahead entry policy together, sharing runs where their entry
+decisions agree; :func:`simulate` is the cohort of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from ..config import SamplingConfig, SystemConfig, default_system
 from ..energy import EnergyModel, EnergyReport
@@ -99,9 +103,59 @@ def simulate(
     else:
         meta = None
         stats = processor.run(max_instructions, max_cycles=max_cycles)
+    energy = _finish(stats, config, config_name)
+    return SimulationResult(stats=stats, energy=energy, processor=processor,
+                            sampling=meta)
+
+
+def simulate_cohort(
+    workload: str,
+    configs: Sequence[SystemConfig],
+    max_instructions: int = 20_000,
+    warmup_instructions: int = 12_000,
+    config_names: Sequence[str] = (),
+) -> tuple[list[SimStats], int]:
+    """Run ``configs``, which differ only in their runahead entry policy
+    (equal :func:`~repro.config.cohort_key`), on the named workload in as
+    few detailed runs as their trajectories allow.
+
+    One run simulates a trajectory for every pending config: the first
+    (the lead) steers it, and each other config rides along with its own
+    entry policy until its decision takes another path.  Configs that
+    detach run again from scratch as the next cohort.  Returns each
+    config's stats, in order, each equal to the stats :func:`simulate`
+    returns for that config alone (energy report included), and the
+    number of runs it took.
+    """
+    from ..workloads import build_workload
+
+    names = list(config_names) or [""] * len(configs)
+    results: list[Optional[SimStats]] = [None] * len(configs)
+    pending = list(range(len(configs)))
+    runs = 0
+    while pending:
+        built = build_workload(workload)
+        processor = Processor(
+            built.program, configs[pending[0]], memory=built.memory,
+            init_regs=built.init_regs,
+            riders=[configs[i].runahead for i in pending[1:]])
+        if warmup_instructions > 0:
+            processor.warm_up(warmup_instructions)
+        processor.run(max_instructions)
+        runs += 1
+        for index, stats in zip(pending, processor.member_stats()):
+            if stats is not None:
+                _finish(stats, configs[index], names[index])
+                results[index] = stats
+        pending = [i for i in pending if results[i] is None]
+    return results, runs
+
+
+def _finish(stats: SimStats, config: SystemConfig,
+            config_name: str) -> EnergyReport:
+    """Name a finished run and price its energy events."""
     stats.config_name = config_name or stats.config_name
     model = EnergyModel(config.energy, config.core.clock_ghz)
     energy = model.compute(stats.energy_events, stats.cycles)
     stats.energy_report = energy.to_dict()
-    return SimulationResult(stats=stats, energy=energy, processor=processor,
-                            sampling=meta)
+    return energy

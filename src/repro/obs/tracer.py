@@ -100,9 +100,8 @@ class Tracer:
                 emit("runahead_enter", now,
                      mode="traditional", blocking_pc=head.pc)
 
-            def enter_rab(head, chain, gen_cycles: int, used_cc: bool,
-                          now: int) -> None:
-                orig_rab(head, chain, gen_cycles, used_cc, now)
+            def enter_rab(head, chain, gen_cycles: int, now: int) -> None:
+                orig_rab(head, chain, gen_cycles, now)
                 emit("runahead_enter", now,
                      mode="buffer", blocking_pc=head.pc)
 

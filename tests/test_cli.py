@@ -60,6 +60,9 @@ def test_compare_with_jobs_matches_serial(capsys):
     ["run", "mcf", "--instructions", "-5"],
     ["run", "mcf", "--warmup", "-1"],
     ["bench-throughput"],
+    ["suite", "--jobs", "0"],
+    ["compare", "mcf", "--jobs", "-1"],
+    ["sweep", "buffer-size", "--jobs", "0"],
 ], ids=lambda argv: "-".join(argv))
 def test_bad_input_is_an_error_not_a_traceback(argv, capsys):
     """Bad names, plans and budgets stop at argument parsing: argparse's

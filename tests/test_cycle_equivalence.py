@@ -29,7 +29,7 @@ from pathlib import Path
 import pytest
 
 from repro.config import build_named_config
-from repro.core import simulate
+from repro.core import simulate, simulate_cohort
 from repro.workloads import workload_names
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "cycle_equivalence.json"
@@ -116,6 +116,36 @@ def test_cycle_identical(golden, config_name):
         f"{config_name}: stats drifted from the pinned reference on "
         f"{len(mismatches)} workload(s):\n  " + "\n  ".join(mismatches)
     )
+
+
+# -- cohorts ---------------------------------------------------------------------
+#
+# The runahead configs of one workload run as one cohort
+# (simulate_cohort): one core simulates the shared trajectory and each
+# member keeps its own entry policy.  Every member must reproduce its own
+# pinned cell, including the fields its policy owns: chain-cache hits and
+# misses, chain generations, entries_blocked_*, and the chain readout's
+# share of rob_read.
+
+COHORT = ("runahead", "rab", "rab_cc", "hybrid")
+
+
+def test_cohort_members_match_golden(golden):
+    mismatches = []
+    for workload in workload_names():
+        results, _runs = simulate_cohort(
+            workload, [build_named_config(c) for c in COHORT],
+            max_instructions=INSTRUCTIONS, warmup_instructions=WARMUP)
+        for config_name, stats in zip(COHORT, results):
+            reference = golden["cells"][f"{workload}/{config_name}"]
+            current = _canonical(stats)
+            if current != reference:
+                keys = sorted(k for k in reference
+                              if current.get(k) != reference[k])
+                mismatches.append(f"{workload}/{config_name}: {keys[:8]}")
+    assert not mismatches, (
+        "cohort members drifted from their pinned cells:\n  "
+        + "\n  ".join(mismatches))
 
 
 # -- core/shared-complex graph ------------------------------------------------

@@ -288,7 +288,8 @@ class TestCacheKeying:
 
         def fake_simulate_cells(specs, jobs=None, progress=None):
             captured["specs"] = list(specs)
-            return [{"ipc": 1.0} for _ in specs]
+            return parallel_mod.Batch([{"ipc": 1.0} for _ in specs],
+                                      len(specs))
 
         import repro.analysis.parallel as parallel_mod
         monkeypatch.setattr(parallel_mod, "simulate_cells",

@@ -54,7 +54,7 @@ class TestResolveJobs:
 class TestFanOut:
     def test_simulate_cells_matches_matrix_get(self):
         spec = CellSpec("calculix", "baseline", False, 400, 500)
-        (stats,) = simulate_cells([spec], jobs=1)
+        (stats,) = simulate_cells([spec], jobs=1).stats
         matrix = ExperimentMatrix(cache_path=None, **BUDGET)
         assert stats == matrix.get("calculix", "baseline")
 
@@ -73,6 +73,20 @@ class TestFanOut:
                        seen.append((spec.label, done, total)))
         assert seen == [("calculix/baseline", 1, 2), ("mcf/baseline", 2, 2)]
 
+    def test_progress_keeps_spec_order_across_cohorts(self):
+        # mcf/runahead and mcf/rab form one cohort, simulated before
+        # calculix/baseline; progress still reports the cells in order.
+        specs = [CellSpec("mcf", "runahead", False, 400, 500),
+                 CellSpec("calculix", "baseline", False, 400, 500),
+                 CellSpec("mcf", "rab", False, 400, 500)]
+        seen = []
+        batch = simulate_cells(specs, jobs=1,
+                               progress=lambda spec, done, total:
+                               seen.append((spec.label, done)))
+        assert seen == [("mcf/runahead", 1), ("calculix/baseline", 2),
+                        ("mcf/rab", 3)]
+        assert batch.runs == 3
+
 
 class TestMatrixPrefetch:
     def test_serial_and_parallel_results_byte_identical(self, tmp_path):
@@ -87,8 +101,24 @@ class TestMatrixPrefetch:
 
     def test_prefetch_skips_cached_cells(self, tmp_path):
         matrix = ExperimentMatrix(cache_path=tmp_path / "c.json", **BUDGET)
-        assert matrix.prefetch([("calculix", "baseline", False)]) == 1
-        assert matrix.prefetch([("calculix", "baseline", False)]) == 0
+        assert matrix.prefetch([("calculix", "baseline", False)]) == (1, 1)
+        assert matrix.prefetch([("calculix", "baseline", False)]) == (0, 0)
+
+    def test_prefetch_counts_runs_not_cells(self):
+        # soplex's two buffer configs share one trajectory at this budget;
+        # mcf's traditional and buffer configs part at the first entry, so
+        # rab runs again; the baseline runs alone: 5 cells in 4 runs.
+        cells = [("soplex", "rab_cc", False), ("soplex", "rab", False),
+                 ("soplex", "baseline", False), ("mcf", "runahead", False),
+                 ("mcf", "rab", False)]
+        serial = ExperimentMatrix(cache_path=None, **BUDGET)
+        assert serial.prefetch(cells, jobs=1) == (5, 4)
+        parallel = ExperimentMatrix(cache_path=None, **BUDGET)
+        assert parallel.prefetch(cells, jobs=2) == (5, 4)
+        standalone = ExperimentMatrix(cache_path=None, **BUDGET)
+        for cell in cells:
+            assert (serial.get(*cell) == parallel.get(*cell)
+                    == standalone.get(*cell)), cell
 
     def test_prefetch_flushes_cache_once(self, tmp_path):
         path = tmp_path / "c.json"
