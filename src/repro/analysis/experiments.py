@@ -32,9 +32,9 @@ import os
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
-from ..config import CONFIG_BUILDERS, SamplingConfig, build_named_config
-from ..core import simulate
+from ..config import CONFIG_BUILDERS, SamplingConfig
 from ..workloads import medium_high_names, workload_names
+from . import parallel
 
 MODEL_VERSION = 4
 KEY_SCHEMA = 3
@@ -81,7 +81,6 @@ class ExperimentMatrix:
         instructions: int = DEFAULT_INSTRUCTIONS,
         warmup: int = DEFAULT_WARMUP,
         cache_path: Optional[str | Path] = "results/experiments.json",
-        trace_dir: Optional[str | Path] = None,
         sampling: Optional[SamplingConfig] = None,
     ) -> None:
         self.instructions = instructions
@@ -90,14 +89,6 @@ class ExperimentMatrix:
         if sampling is not None:
             sampling.validate()
         self.cache_path = Path(cache_path) if cache_path else None
-        # When set (or via REPRO_TRACE_DIR), every cell simulated
-        # *in-process* also writes a Perfetto trace here.  Tracing is
-        # cycle-identical, so traced cells stay cache-compatible with
-        # untraced ones; cells filled by prefetch() workers are not
-        # traced (the observability layer is per-processor, in-process).
-        if trace_dir is None:
-            trace_dir = os.environ.get("REPRO_TRACE_DIR") or None
-        self.trace_dir = Path(trace_dir) if trace_dir else None
         self._results: dict[str, dict[str, Any]] = {}
         self._dirty = False
         if self.cache_path is not None:
@@ -116,6 +107,19 @@ class ExperimentMatrix:
     def _key(self, workload: str, config_name: str, chain_stats: bool) -> str:
         return cell_key(workload, config_name, chain_stats,
                         self.instructions, self.warmup, self._tier_suffix)
+
+    def _spec(self, workload: str, config_name: str,
+              chain_stats: bool) -> parallel.CellSpec:
+        """The simulation that fills one cell at this matrix's budgets
+        and tier."""
+        s = self.sampling
+        if s is not None and s.is_sampled:
+            return parallel.CellSpec(
+                workload, config_name, chain_stats, self.instructions,
+                self.warmup, s.tier, s.ramp_instructions,
+                s.window_instructions, s.stride_instructions)
+        return parallel.CellSpec(workload, config_name, chain_stats,
+                                 self.instructions, self.warmup)
 
     def _lookup(self, workload: str, config_name: str,
                 chain_stats: bool) -> Optional[dict[str, Any]]:
@@ -142,42 +146,10 @@ class ExperimentMatrix:
         cached = self._lookup(workload, config_name, chain_stats)
         if cached is not None:
             return cached
-        config = build_named_config(config_name)
-        if chain_stats:
-            config.runahead.collect_chain_stats = True
-        tracer = None
-        if self.trace_dir is not None:
-            from ..obs import Tracer
-            tracer = Tracer()
-        result = simulate(
-            workload,
-            config,
-            max_instructions=self.instructions,
-            warmup_instructions=self.warmup,
-            config_name=config_name,
-            attach=tracer.attach if tracer is not None else None,
-            sampling=self.sampling,
-        )
-        stats = result.stats.to_dict()
-        if result.sampling is not None:
-            from ..fastpath import scrub_host_keys
-            stats["sampling"] = scrub_host_keys(result.sampling)
-        if tracer is not None:
-            self._persist_trace(workload, config_name, chain_stats, tracer)
+        stats = parallel.simulate_cell(
+            self._spec(workload, config_name, chain_stats))
         self.store(workload, config_name, chain_stats, stats)
         return stats
-
-    def _persist_trace(self, workload: str, config_name: str,
-                       chain_stats: bool, tracer) -> Path:
-        from ..obs import write_perfetto
-
-        self.trace_dir.mkdir(parents=True, exist_ok=True)
-        key = self._key(workload, config_name, chain_stats)
-        path = self.trace_dir / (key.replace("/", "_") + ".perfetto.json")
-        return write_perfetto(path, tracer.trace,
-                              metadata={"workload": workload,
-                                        "config": config_name,
-                                        "cell": key})
 
     def store(self, workload: str, config_name: str, chain_stats: bool,
               stats: dict[str, Any]) -> None:
@@ -225,21 +197,11 @@ class ExperimentMatrix:
         workers execute the exact same deterministic simulation, and the
         dicts round-trip through pickle unchanged.
         """
-        from .parallel import CellSpec, simulate_cells
-
         missing = self.missing_cells(cells)
         if not missing:
             return Prefetched(0, 0)
-        s = self.sampling
-        if s is not None and s.is_sampled:
-            tier_fields = (s.tier, s.ramp_instructions,
-                           s.window_instructions, s.stride_instructions)
-        else:
-            tier_fields = ("detailed", 0, 0, 0)
-        specs = [CellSpec(w, c, chains, self.instructions, self.warmup,
-                          *tier_fields)
-                 for w, c, chains in missing]
-        batch = simulate_cells(specs, jobs=jobs, progress=progress)
+        specs = [self._spec(*cell) for cell in missing]
+        batch = parallel.simulate_cells(specs, jobs=jobs, progress=progress)
         for (workload, config_name, chain_stats), stats in zip(missing,
                                                                batch.stats):
             self.store(workload, config_name, chain_stats, stats)

@@ -38,7 +38,6 @@ from .analysis.sweeps import CANNED_SWEEPS, run_named_sweep
 from .config import (CONFIG_BUILDERS, SAMPLING_TIERS, SamplingConfig,
                      build_named_config)
 from .core import simulate
-from .fastpath import FF_LANES
 from .obs import EVENT_KINDS
 from .workloads import intensity_of, workload_names
 
@@ -172,10 +171,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="with --cores > 1: trace the run and write a "
                           "Perfetto export with one track group per core "
                           "plus a shared-memory track")
-    run.add_argument("--ff-lane", choices=FF_LANES, default=None,
-                     help="fast-forward lane for warm-up and two-level "
-                          "gaps (default: REPRO_FF_LANE env, then 'jit'); "
-                          "single-core only")
     _add_tier_args(run)
 
     compare = sub.add_parser("compare",
@@ -209,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="per-run instruction budget for both sides")
     verify.add_argument("--invariants", action="store_true",
                         help="attach the per-step invariant checker")
-    verify.add_argument("--invariant-every", type=int, default=1,
+    verify.add_argument("--invariant-every", type=_positive_int, default=1,
                         metavar="N",
                         help="check invariants every N core steps (a step "
                              "is one cycle or one jump across an idle "
@@ -298,10 +293,6 @@ def _cmd_run_multicore(args) -> int:
         print("error: --cores > 1 supports only the detailed tier "
               "(sampling assumes a private hierarchy)", file=sys.stderr)
         return 2
-    if args.ff_lane is not None:
-        print("error: --ff-lane is single-core only; with --cores > 1 "
-              "set REPRO_FF_LANE to pick the warm-up lane", file=sys.stderr)
-        return 2
     workloads = [w.strip() for w in args.workload.split(",") if w.strip()]
     if len(workloads) == 1:
         workloads = workloads * args.cores
@@ -382,8 +373,7 @@ def _cmd_run(args) -> int:
                       max_instructions=args.instructions,
                       warmup_instructions=args.warmup,
                       config_name=args.config,
-                      sampling=sampling,
-                      ff_lane=args.ff_lane)
+                      sampling=sampling)
     tier = f" [{sampling.tier}]" if sampling is not None else ""
     print(f"{args.workload} / {args.config}{tier}:")
     _print_stats(result.stats, result.energy)

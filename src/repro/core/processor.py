@@ -252,10 +252,7 @@ class Processor:
         # shadows cold-path methods per instance so this hot loop never
         # checks for it.
         self.commit_hook = None
-        # Fast-forward lane default for this processor (None = resolve
-        # from REPRO_FF_LANE / the built-in "jit" default at call time)
-        # and cumulative host seconds spent translating blocks for it.
-        self.ff_lane: Optional[str] = None
+        # Cumulative host seconds fast_forward spent translating blocks.
         self.ff_translate_seconds = 0.0
         # Cumulative instructions executed by fast_forward since
         # construction (part of the warm-state snapshot).
@@ -329,35 +326,28 @@ class Processor:
         self._dispatch_stall = -1
         return arch_pc
 
-    def fast_forward(self, instructions: int,
-                     lane: Optional[str] = None) -> int:
+    def fast_forward(self, instructions: int, lane: str = "jit") -> int:
         """Advance ``instructions`` functionally from the architectural
         point, warming caches and the branch predictor, then restart the
         detailed model from the resulting state.  Returns the number of
         instructions actually executed (stops at HALT).
 
         This is the fast tier of two-tier simulation (and the whole of
-        pre-run warm-up).  Two lanes produce bit-identical warm state,
-        on a private or a shared LLC:
+        pre-run warm-up).  Each basic block / loop superblock / branch
+        region is translated once to specialized Python
+        (:mod:`repro.fastpath.blockjit`) that drives the hierarchy/
+        predictor warm paths directly.
 
-        * ``"jit"`` (default) — block-compiled execution
-          (:mod:`repro.fastpath.blockjit`): each basic block / loop
-          superblock / branch region is translated once to specialized
-          Python and drives the hierarchy/predictor warm paths directly.
-        * ``"interp"`` — the reference interpreter replays the committed
-          path per-op (:meth:`Interpreter.run_warm`), feeding every
-          instruction fetch, memory access, and branch outcome through
-          per-op callbacks.
-
-        ``lane`` overrides the processor default (``self.ff_lane``),
-        which itself falls back to ``REPRO_FF_LANE`` and then ``"jit"``.
+        ``lane="interp"`` instead replays the committed path per-op
+        through the reference interpreter (:meth:`Interpreter.run_warm`),
+        feeding every instruction fetch, memory access and branch
+        outcome through the callbacks below.  Both lanes leave
+        bit-identical warm state, on a private or a shared LLC; the
+        lane-identity tests compare them.
         """
-        from ..fastpath.blockjit import (
-            WarmTargets,
-            program_translate_seconds,
-            resolve_ff_lane,
-        )
-        lane = resolve_ff_lane(lane, self.ff_lane)
+        from ..fastpath.blockjit import WarmTargets, program_translate_seconds
+        if lane not in ("jit", "interp"):
+            raise ValueError(f"unknown fast-forward lane {lane!r}")
         if self.halted or instructions <= 0:
             return 0
         self.sync_architectural()
@@ -397,9 +387,8 @@ class Processor:
                                pc_line_shift=pc_line_shift)
             t0 = program_translate_seconds(self.program)
             executed = interp.run_warm_jit(
-                instructions, on_ifetch=on_ifetch,
+                instructions, warm, on_ifetch=on_ifetch,
                 on_mem=hierarchy.warm_load, on_branch=on_branch,
-                warm=warm,
                 translate_hook=getattr(self, "_ff_translate_hook", None))
             self.ff_translate_seconds += (
                 program_translate_seconds(self.program) - t0)
@@ -413,10 +402,10 @@ class Processor:
         self.ff_instructions += executed
         return executed
 
-    def warm_up(self, instructions: int, lane: Optional[str] = None) -> int:
+    def warm_up(self, instructions: int) -> int:
         """Fast-forward functionally before (or between) timed runs —
         kept as the historical name for the pre-run warm-up phase."""
-        return self.fast_forward(instructions, lane=lane)
+        return self.fast_forward(instructions)
 
     # ------------------------------------------------------------------
     # Warm-state snapshots (compared by repro.fastpath.snapshot_bytes)

@@ -66,7 +66,6 @@ def simulate(
     config_name: str = "",
     attach: Optional[Callable[[Processor], None]] = None,
     sampling: Optional[SamplingConfig] = None,
-    ff_lane: Optional[str] = None,
 ) -> SimulationResult:
     """Run one workload on one configuration and return stats + energy.
 
@@ -81,16 +80,11 @@ def simulate(
     alternates detailed windows with functional fast-forward
     (see :mod:`repro.fastpath`); ``result.stats`` then describes the
     detailed windows only and ``result.sampling`` holds the split.
-
-    ``ff_lane`` selects the fast-forward lane (``"interp"`` or
-    ``"jit"``) used for warm-up and two-level gaps; ``None`` resolves
-    via ``REPRO_FF_LANE`` and then the ``"jit"`` default.
     """
     if config is None:
         config = default_system()
     program, memory, init_regs = _resolve_workload(workload)
     processor = Processor(program, config, memory=memory, init_regs=init_regs)
-    processor.ff_lane = ff_lane
     if warmup_instructions > 0:
         processor.warm_up(warmup_instructions)
     if attach is not None:

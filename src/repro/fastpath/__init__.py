@@ -8,7 +8,6 @@ canonical warm-state snapshot bytes) the lane gates compare.  See
 docs/simulator.md, "Two-tier simulation".
 """
 
-from .blockjit import FF_LANES, resolve_ff_lane
 from .engine import run_two_tier
 from .validate import (
     SAMPLING_TOLERANCES,
@@ -21,10 +20,8 @@ from .validate import (
 )
 
 __all__ = [
-    "FF_LANES",
     "SAMPLING_TOLERANCES",
     "check_sampling_error",
-    "resolve_ff_lane",
     "run_two_tier",
     "runahead_share",
     "scrub_host_keys",

@@ -11,25 +11,20 @@ and cached content-addressed so equal-content programs (sweep cells)
 share code objects.  Loop superblocks (a block whose terminal branch
 targets its own entry) compile the whole iteration into one Python loop.
 
-Two lane modes are generated from the same translator:
+The generated code feeds the warm paths of the memory hierarchy and
+branch predictor directly, batched where the argument below allows,
+instead of calling back once per op.  It is the fast-forward lane of
+``Processor.fast_forward``; the reference it must match is
+:meth:`Interpreter.run_warm` driven by per-op callbacks.
 
-* **events** — per-op callbacks ``on_ifetch``/``on_mem``/``on_branch``
-  with exactly the same call stream (order included) as
-  :meth:`Interpreter.run_warm`.  This is the differentially fuzzed mode
-  (tests/test_warmup_parity.py).
-* **warm** — the callbacks are replaced by direct, batched feeds into
-  the warm paths of the memory hierarchy and branch predictor.  This is
-  the default fast-forward lane of ``Processor.fast_forward``.
+Bit-identity argument for the batching
+--------------------------------------
 
-Bit-identity argument for the *warm* mode batching
---------------------------------------------------
-
-The interpreter lane performs, per op: an L1I-MRU-checked
-``warm_ifetch`` (skip when the op's I-line is the L1I MRU entry with a
-warm fill), then ``warm_load`` for a memory op, then a
-``predictor.update`` for a branch.  The JIT lane must reproduce that
-*warm-side* event stream exactly.  Three facts govern what may be
-batched or elided:
+The reference performs, per op: an L1I-MRU-checked ``warm_ifetch``
+(skip when the op's I-line is the L1I MRU entry with a warm fill), then
+``warm_load`` for a memory op, then a ``predictor.update`` for a
+branch.  The compiled code must reproduce that *warm-side* event
+stream exactly.  Three facts govern what may be batched or elided:
 
 1. **I-fetch checks elide statically, except after memory ops.**  If
    op ``j-1`` is a non-memory op on the same I-line as op ``j``, then
@@ -72,7 +67,6 @@ invariant), and sub-block budget tails — all replayed per-op through
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -89,15 +83,9 @@ from ..isa.blocks import (
 from ..isa.semantics import MASK64, SIGN_BIT
 from ..isa.uop import CLS_LOAD, CLS_NOP, CLS_STORE, Opcode
 
-# Bump to invalidate every cached code object when the generated source
-# changes shape.
-CODEGEN_VERSION = 2
-
 # Instruction size in bytes (mirrors repro.frontend.fetch.INST_BYTES;
 # duplicated here to keep fastpath importable without the frontend).
 INST_BYTES = 4
-
-FF_LANES = ("interp", "jit")
 
 _M = "0x%X" % MASK64
 _S = "0x%X" % SIGN_BIT
@@ -106,17 +94,6 @@ _S = "0x%X" % SIGN_BIT
 # key -> code.  Binding a code object to a concrete program (exec in a
 # fresh namespace) is cheap; compile() is what this cache amortizes.
 _CODE_CACHE: dict[tuple, Any] = {}
-
-
-def resolve_ff_lane(explicit: Optional[str] = None,
-                    default: Optional[str] = None) -> str:
-    """Lane selection: explicit argument > configured default >
-    ``REPRO_FF_LANE`` env var > ``"jit"``."""
-    lane = explicit or default or os.environ.get("REPRO_FF_LANE") or "jit"
-    if lane not in FF_LANES:
-        raise ValueError(
-            f"fast-forward lane must be one of {FF_LANES}, got {lane!r}")
-    return lane
 
 
 def _div64(a: int, b: int) -> int:
@@ -132,7 +109,7 @@ def _div64(a: int, b: int) -> int:
 
 @dataclass
 class WarmTargets:
-    """Warm-side bindings for the jit lane of one fast-forward call."""
+    """Warm-side bindings of one fast-forward call."""
 
     hierarchy: Any
     predictor: Any
@@ -141,7 +118,7 @@ class WarmTargets:
 
 
 def warm_geom(hierarchy, predictor, memory) -> tuple:
-    """Specialization constants baked into warm-mode generated code (and
+    """Specialization constants baked into the generated code (and
     therefore into the code-cache key): cache/predictor geometry and the
     functional-memory fill rule."""
     return (
@@ -160,8 +137,6 @@ def warm_geom(hierarchy, predictor, memory) -> tuple:
 # ---------------------------------------------------------------------------
 # Code generation
 # ---------------------------------------------------------------------------
-
-_CB_IFETCH, _CB_MEM, _CB_BRANCH = 1, 2, 4
 
 _COND_OPS = {
     Opcode.BEQ: "==",
@@ -231,19 +206,15 @@ def _addr_expr(inst) -> str:
 
 
 class _Codegen:
-    """Generates the ``_b(regs, mw, mem_load, W, budget)`` function for
-    one block in one lane mode."""
+    """Generates the ``_b(regs, mw, W, budget)`` function for one
+    block."""
 
-    def __init__(self, block: Block, mode: str, cb_mask: int,
-                 line_shift: int, geom: Optional[tuple] = None) -> None:
+    def __init__(self, block: Block, line_shift: int, geom: tuple) -> None:
         self.block = block
-        self.mode = mode
-        self.cb_mask = cb_mask
         self.line_shift = line_shift
-        if geom is not None:
-            (self.data_shift, self.l1d_sets, self.l1i_sets,
-             self.gshare_mask, self.bimodal_mask, self.chooser_mask,
-             self.history_mask, self.btb_cap, self.fill) = geom
+        (self.data_shift, self.l1d_sets, self.l1i_sets,
+         self.gshare_mask, self.bimodal_mask, self.chooser_mask,
+         self.history_mask, self.btb_cap, self.fill) = geom
         self.lines: list[str] = []
 
     def w(self, depth: int, text: str) -> None:
@@ -276,22 +247,19 @@ class _Codegen:
             if d is not None:
                 self.w(depth, f"r{d} = mw_get(_a{j} >> 3)")
                 self.w(depth, f"if r{d} is None:")
-                if self.mode == "warm":
-                    # DataMemory.load default-fill, inlined (the miss is
-                    # the common case for read-mostly working sets).
-                    if self.fill == "zero":
-                        self.w(depth + 1, f"r{d} = 0")
-                    else:  # splitmix64-style hash of the word index
-                        self.w(depth + 1,
-                               f"_z = ((_a{j} >> 3) "
-                               f"+ 0x9E3779B97F4A7C15) & {_M}")
-                        self.w(depth + 1, "_z = ((_z ^ (_z >> 30)) "
-                                          f"* 0xBF58476D1CE4E5B9) & {_M}")
-                        self.w(depth + 1, "_z = ((_z ^ (_z >> 27)) "
-                                          f"* 0x94D049BB133111EB) & {_M}")
-                        self.w(depth + 1, f"r{d} = _z ^ (_z >> 31)")
-                else:
-                    self.w(depth + 1, f"r{d} = mem_load(_a{j})")
+                # DataMemory.load default-fill, inlined (the miss is the
+                # common case for read-mostly working sets).
+                if self.fill == "zero":
+                    self.w(depth + 1, f"r{d} = 0")
+                else:  # splitmix64-style hash of the word index
+                    self.w(depth + 1,
+                           f"_z = ((_a{j} >> 3) "
+                           f"+ 0x9E3779B97F4A7C15) & {_M}")
+                    self.w(depth + 1, "_z = ((_z ^ (_z >> 30)) "
+                                      f"* 0xBF58476D1CE4E5B9) & {_M}")
+                    self.w(depth + 1, "_z = ((_z ^ (_z >> 27)) "
+                                      f"* 0x94D049BB133111EB) & {_M}")
+                    self.w(depth + 1, f"r{d} = _z ^ (_z >> 31)")
         else:
             self.w(depth, f"mw[_a{j} >> 3] = {_reg(inst.src2)}")
 
@@ -315,7 +283,7 @@ class _Codegen:
         if inst.dest_reg is not None:
             self.w(depth, f"r{inst.dest_reg} = {_alu_expr(inst)}")
 
-    # -- warm-mode i-fetch emission rule ------------------------------------
+    # -- i-fetch emission rule ----------------------------------------------
 
     def _iline(self, j: int) -> int:
         return (self.block.entry + j) >> self.line_shift
@@ -364,63 +332,48 @@ class _Codegen:
         ops = self.block.instructions
         last = len(ops) - 1
         terminal_branch = self.block.kind in (BRANCH, LOOP)
-        warm = self.mode == "warm"
         j = 0
         while j < len(ops):
             if terminal_branch and j == last:
                 return
             inst = ops[j]
             cls = inst.cls_idx
-            pc = self.block.entry + j
-            if warm:
-                if self._check_needed(j):
-                    self._warm_check(depth, j)
-            elif self.cb_mask & _CB_IFETCH:
-                self.w(depth, f"on_ifetch({pc})")
+            if self._check_needed(j):
+                self._warm_check(depth, j)
             if cls == CLS_LOAD or cls == CLS_STORE:
                 self._arch_mem(depth, j, inst)
-                if warm:
-                    # warm_load on the L1D MRU line is an exact no-op
-                    # (the MRU lookup path neither reorders the set nor
-                    # counts stats), so the call elides behind a guard.
-                    self._warm_mem(depth, j)
-                elif self.cb_mask & _CB_MEM:
-                    self.w(depth, f"on_mem(_a{j})")
+                # warm_load on the L1D MRU line is an exact no-op (the
+                # MRU lookup path neither reorders the set nor counts
+                # stats), so the call elides behind a guard.
+                self._warm_mem(depth, j)
             elif cls < CLS_NOP:
                 self._arch_alu(depth, inst)
             # NOP and the terminal HALT have no architectural effect.
             j += 1
 
     def _terminal_prelude(self, depth: int) -> None:
-        """I-fetch event for the terminal branch op."""
+        """I-fetch check for the terminal branch op."""
         last = len(self.block.instructions) - 1
-        if self.mode == "warm":
-            if self._check_needed(last):
-                self._warm_check(depth, last)
-        elif self.cb_mask & _CB_IFETCH:
-            self.w(depth, f"on_ifetch({self.block.entry + last})")
+        if self._check_needed(last):
+            self._warm_check(depth, last)
 
     # -- top-level emitters -------------------------------------------------
 
     def generate(self) -> str:
         block = self.block
-        warm = self.mode == "warm"
-        self.w(0, "def _b(regs, mw, mem_load, W, budget, pc=0, _bi=_BI):")
-        if warm:
-            self.w(1, "l1d, l1i, warm_ifetch, warm_load, "
-                      "update, warm_vec, _pt, pred = W")
-            self.w(1, "l1i_sets = l1i._sets")
-            if any(inst.is_mem for inst in block.instructions):
-                self.w(1, "l1d_sets = l1d._sets")
-            term = block.terminal if block.kind == BRANCH else None
-            if term is not None and term.is_conditional_branch:
-                self.w(1, "gsh = pred._gshare")
-                self.w(1, "bim = pred._bimodal")
-                self.w(1, "cho = pred._chooser")
-            if term is not None and not term.is_return:
-                self.w(1, "btb = pred._btb")
-        else:
-            self.w(1, "on_ifetch, on_mem, on_branch = W")
+        self.w(0, "def _b(regs, mw, W, budget, pc=0, _bi=_BI):")
+        self.w(1, "l1d, l1i, warm_ifetch, warm_load, "
+                  "update, warm_vec, _pt, pred = W")
+        self.w(1, "l1i_sets = l1i._sets")
+        if any(inst.is_mem for inst in block.instructions):
+            self.w(1, "l1d_sets = l1d._sets")
+        term = block.terminal if block.kind == BRANCH else None
+        if term is not None and term.is_conditional_branch:
+            self.w(1, "gsh = pred._gshare")
+            self.w(1, "bim = pred._bimodal")
+            self.w(1, "cho = pred._chooser")
+        if term is not None and not term.is_return:
+            self.w(1, "btb = pred._btb")
         if self._has_load_with_dest():
             self.w(1, "mw_get = mw.get")
         used, written = self._regs_used()
@@ -463,7 +416,7 @@ class _Codegen:
         ``ghr=None`` (warm-up convention), inlined with the pc-derived
         table indices folded to literals.  Statement order matches
         ``update`` exactly; the mispredict proxy threading matches the
-        interp lane's ``on_branch`` closure."""
+        reference ``on_branch`` closure of ``Processor.fast_forward``."""
         bidx = bpc & self.bimodal_mask
         cidx = bpc & self.chooser_mask
         self.w(depth, "_h = pred.ghr")
@@ -499,15 +452,10 @@ class _Codegen:
         block = self.block
         inst = block.terminal
         bpc = block.entry + len(block.instructions) - 1
-        warm = self.mode == "warm"
-        emit_branch_cb = (not warm) and (self.cb_mask & _CB_BRANCH)
         if inst.is_conditional_branch:
             self.w(depth, f"_t = {_cond_expr(inst)}")
             self.w(depth, f"nxt = {inst.target} if _t else {bpc + 1}")
-            if warm:
-                self._emit_cond_train(depth, bpc)
-            elif emit_branch_cb:
-                self.w(depth, f"on_branch({bpc}, _bi, _t, nxt)")
+            self._emit_cond_train(depth, bpc)
             return
         if inst.is_call and inst.dest_reg is not None:
             self.w(depth, f"r{inst.dest_reg} = {(bpc + 1) & MASK64}")
@@ -515,13 +463,10 @@ class _Codegen:
             self.w(depth, f"nxt = {_reg(inst.src1)}")
         else:  # JMP / CALL
             self.w(depth, f"nxt = {inst.target}")
-        if warm:
-            # update() for an unconditional branch reduces to the BTB
-            # insert; for RET it is a complete no-op.
-            if not inst.is_return:
-                self._emit_btb_insert(depth, bpc, "nxt")
-        elif emit_branch_cb:
-            self.w(depth, f"on_branch({bpc}, _bi, True, nxt)")
+        # update() for an unconditional branch reduces to the BTB insert;
+        # for RET it is a complete no-op.
+        if not inst.is_return:
+            self._emit_btb_insert(depth, bpc, "nxt")
 
     def _emit_loop(self) -> None:
         block = self.block
@@ -529,12 +474,10 @@ class _Codegen:
         n = len(block.instructions)
         bpc = block.entry + n - 1
         entry = block.entry
-        warm = self.mode == "warm"
-        emit_branch_cb = (not warm) and (self.cb_mask & _CB_BRANCH)
         conditional = inst.is_conditional_branch
 
         self.w(1, "_n = 0")
-        if warm and conditional:
+        if conditional:
             self.w(1, "_out = []")
             self.w(1, "_ap = _out.append")
         self.w(1, "while True:")
@@ -542,49 +485,29 @@ class _Codegen:
         self._terminal_prelude(2)
         if conditional:
             self.w(2, f"_t = {_cond_expr(inst)}")
-            if warm:
-                self.w(2, "_ap(_t)")
+            self.w(2, "_ap(_t)")
             self.w(2, f"_n += {n}")
-            if warm:
-                self.w(2, "if not _t:")
-                self.w(3, f"nxt = {bpc + 1}")
-                self.w(3, "break")
-                self.w(2, f"if _n + {n} > budget:")
-                self.w(3, f"nxt = {entry}")
-                self.w(3, "break")
-            else:
-                self.w(2, "if _t:")
-                if emit_branch_cb:
-                    self.w(3, f"on_branch({bpc}, _bi, True, {entry})")
-                self.w(3, f"if _n + {n} > budget:")
-                self.w(4, f"nxt = {entry}")
-                self.w(4, "break")
-                self.w(2, "else:")
-                if emit_branch_cb:
-                    self.w(3, f"on_branch({bpc}, _bi, False, {bpc + 1})")
-                self.w(3, f"nxt = {bpc + 1}")
-                self.w(3, "break")
-            if warm:
-                # One batched predictor feed for the whole loop run.
-                self.w(1, f"warm_vec({bpc}, _bi, _out, {entry}, _pt)")
+            self.w(2, "if not _t:")
+            self.w(3, f"nxt = {bpc + 1}")
+            self.w(3, "break")
+            self.w(2, f"if _n + {n} > budget:")
+            self.w(3, f"nxt = {entry}")
+            self.w(3, "break")
+            # One batched predictor feed for the whole loop run.
+            self.w(1, f"warm_vec({bpc}, _bi, _out, {entry}, _pt)")
         else:  # loop-closing JMP
-            if emit_branch_cb:
-                self.w(2, f"on_branch({bpc}, _bi, True, {entry})")
             self.w(2, f"_n += {n}")
             self.w(2, f"if _n + {n} > budget:")
             self.w(3, "break")
-            if warm:
-                # Iterations 2..n would re-insert the identical BTB
-                # entry — exact no-ops — so one update stands for all.
-                self.w(1, f"update({bpc}, _bi, True, {entry}, False)")
+            # Iterations 2..n would re-insert the identical BTB entry —
+            # exact no-ops — so one update stands for all.
+            self.w(1, f"update({bpc}, _bi, True, {entry}, False)")
             self.w(1, f"nxt = {entry}")
 
 
-def generate_source(block: Block, mode: str, cb_mask: int = 0,
-                    line_shift: int = 0,
-                    geom: Optional[tuple] = None) -> str:
+def generate_source(block: Block, line_shift: int, geom: tuple) -> str:
     """Generated Python source for one block (exposed for tests)."""
-    return _Codegen(block, mode, cb_mask, line_shift, geom).generate()
+    return _Codegen(block, line_shift, geom).generate()
 
 
 class _RegionCodegen:
@@ -597,14 +520,10 @@ class _RegionCodegen:
     standalone — the region only removes driver dispatch and register
     spills between them."""
 
-    def __init__(self, region: Region, mode: str, cb_mask: int,
-                 line_shift: int, geom: Optional[tuple] = None) -> None:
+    def __init__(self, region: Region, line_shift: int, geom: tuple) -> None:
         self.region = region
-        self.mode = mode
-        self.cb_mask = cb_mask
         self.lines: list[str] = []
-        self.segs = [_Codegen(b, mode, cb_mask, line_shift, geom)
-                     for b in region.blocks]
+        self.segs = [_Codegen(b, line_shift, geom) for b in region.blocks]
         for seg in self.segs:
             seg.lines = self.lines
 
@@ -613,22 +532,18 @@ class _RegionCodegen:
 
     def generate(self) -> str:
         blocks = self.region.blocks
-        warm = self.mode == "warm"
-        self.w(0, "def _b(regs, mw, mem_load, W, budget, pc=0, _bis=_BIS):")
-        if warm:
-            self.w(1, "l1d, l1i, warm_ifetch, warm_load, "
-                      "update, warm_vec, _pt, pred = W")
-            self.w(1, "l1i_sets = l1i._sets")
-            if any(i.is_mem for b in blocks for i in b.instructions):
-                self.w(1, "l1d_sets = l1d._sets")
-            if any(b.terminal.is_conditional_branch for b in blocks):
-                self.w(1, "gsh = pred._gshare")
-                self.w(1, "bim = pred._bimodal")
-                self.w(1, "cho = pred._chooser")
-            if any(not b.terminal.is_return for b in blocks):
-                self.w(1, "btb = pred._btb")
-        else:
-            self.w(1, "on_ifetch, on_mem, on_branch = W")
+        self.w(0, "def _b(regs, mw, W, budget, pc=0):")
+        self.w(1, "l1d, l1i, warm_ifetch, warm_load, "
+                  "update, warm_vec, _pt, pred = W")
+        self.w(1, "l1i_sets = l1i._sets")
+        if any(i.is_mem for b in blocks for i in b.instructions):
+            self.w(1, "l1d_sets = l1d._sets")
+        if any(b.terminal.is_conditional_branch for b in blocks):
+            self.w(1, "gsh = pred._gshare")
+            self.w(1, "bim = pred._bimodal")
+            self.w(1, "cho = pred._chooser")
+        if any(not b.terminal.is_return for b in blocks):
+            self.w(1, "btb = pred._btb")
         if any(seg._has_load_with_dest() for seg in self.segs):
             self.w(1, "mw_get = mw.get")
         used: set[int] = set()
@@ -648,7 +563,7 @@ class _RegionCodegen:
             self.w(4, "break")
             seg._body(3)
             seg._terminal_prelude(3)
-            self._seg_terminal(3, k, b, seg)
+            self._seg_terminal(3, b, seg)
         self.w(2, "else:")
         self.w(3, "break")
         for r in sorted(written):
@@ -656,25 +571,19 @@ class _RegionCodegen:
         self.w(1, "return _pc, _n")
         return "\n".join(self.lines) + "\n"
 
-    def _seg_terminal(self, depth: int, k: int, b: Block,
-                      seg: _Codegen) -> None:
+    def _seg_terminal(self, depth: int, b: Block, seg: _Codegen) -> None:
         inst = b.terminal
         n = len(b.instructions)
         bpc = b.entry + n - 1
-        warm = self.mode == "warm"
-        emit_branch_cb = (not warm) and (self.cb_mask & _CB_BRANCH)
         if inst.is_conditional_branch:
             self.w(depth, f"_t = {_cond_expr(inst)}")
             self.w(depth, f"_n += {n}")
             self.w(depth, f"_pc = {inst.target} if _t else {bpc + 1}")
-            if warm:
-                # Per-occurrence training: with multiple branches in
-                # flight the loop-superblock batching argument does not
-                # apply, so each outcome trains at its own position —
-                # the reference behaviour.
-                seg._emit_cond_train(depth, bpc)
-            elif emit_branch_cb:
-                self.w(depth, f"on_branch({bpc}, _bis[{k}], _t, _pc)")
+            # Per-occurrence training: with multiple branches in flight
+            # the loop-superblock batching argument does not apply, so
+            # each outcome trains at its own position — the reference
+            # behaviour.
+            seg._emit_cond_train(depth, bpc)
             return
         if inst.is_call and inst.dest_reg is not None:
             self.w(depth, f"r{inst.dest_reg} = {(bpc + 1) & MASK64}")
@@ -683,18 +592,14 @@ class _RegionCodegen:
             self.w(depth, f"_pc = {_reg(inst.src1)}")
         else:  # JMP / CALL
             self.w(depth, f"_pc = {inst.target}")
-        if warm:
-            if not inst.is_return:
-                seg._emit_btb_insert(depth, bpc, "_pc")
-        elif emit_branch_cb:
-            self.w(depth, f"on_branch({bpc}, _bis[{k}], True, _pc)")
+        if not inst.is_return:
+            seg._emit_btb_insert(depth, bpc, "_pc")
 
 
-def generate_region_source(region: Region, mode: str, cb_mask: int = 0,
-                           line_shift: int = 0,
-                           geom: Optional[tuple] = None) -> str:
+def generate_region_source(region: Region, line_shift: int,
+                           geom: tuple) -> str:
     """Generated Python source for a multi-block region (for tests)."""
-    return _RegionCodegen(region, mode, cb_mask, line_shift, geom).generate()
+    return _RegionCodegen(region, line_shift, geom).generate()
 
 
 # ---------------------------------------------------------------------------
@@ -711,16 +616,14 @@ class _BlockEntry:
 
 
 class JitProgram:
-    """Lazily-translated blocks of one :class:`Program`, one lane mode."""
+    """Lazily-translated blocks of one :class:`Program` for one cache/
+    predictor geometry."""
 
-    __slots__ = ("program", "mode", "cb_mask", "line_shift", "geom",
-                 "entries", "translate_seconds", "translate_count")
+    __slots__ = ("program", "line_shift", "geom", "entries",
+                 "translate_seconds", "translate_count")
 
-    def __init__(self, program, mode: str, cb_mask: int = 0,
-                 line_shift: int = 0, geom: Optional[tuple] = None) -> None:
+    def __init__(self, program, line_shift: int, geom: tuple) -> None:
         self.program = program
-        self.mode = mode
-        self.cb_mask = cb_mask
         self.line_shift = line_shift
         self.geom = geom
         self.entries: dict[int, _BlockEntry] = {}
@@ -735,12 +638,10 @@ class JitProgram:
         blocks = region.blocks
         if len(blocks) == 1:
             block = blocks[0]
-            key = (block.key(), self.mode, self.cb_mask, self.line_shift,
-                   self.geom, CODEGEN_VERSION)
+            key = (block.key(), self.line_shift, self.geom)
             code = _CODE_CACHE.get(key)
             if code is None:
-                src = generate_source(block, self.mode, self.cb_mask,
-                                      self.line_shift, self.geom)
+                src = generate_source(block, self.line_shift, self.geom)
                 code = compile(src, f"<blockjit:{self.program.name}:{pc}>",
                                "exec")
                 _CODE_CACHE[key] = code
@@ -751,19 +652,16 @@ class JitProgram:
             self.entries[pc] = _BlockEntry(
                 ns["_b"], len(block.instructions), block.kind)
         else:
-            key = (region.key(), self.mode, self.cb_mask, self.line_shift,
-                   self.geom, CODEGEN_VERSION)
+            key = (region.key(), self.line_shift, self.geom)
             code = _CODE_CACHE.get(key)
             if code is None:
-                src = generate_region_source(region, self.mode,
-                                             self.cb_mask, self.line_shift,
+                src = generate_region_source(region, self.line_shift,
                                              self.geom)
                 code = compile(
                     src, f"<blockjit:{self.program.name}:{pc}:region>",
                     "exec")
                 _CODE_CACHE[key] = code
-            ns = {"_div64": _div64,
-                  "_BIS": tuple(b.terminal for b in blocks)}
+            ns = {"_div64": _div64}
             exec(code, ns)
             fn = ns["_b"]
             # One function, dispatchable at every segment entry; the
@@ -780,17 +678,15 @@ class JitProgram:
         return entry
 
 
-def jit_program(program, mode: str, cb_mask: int = 0,
-                line_shift: int = 0, geom: Optional[tuple] = None
-                ) -> JitProgram:
-    """The (per-program-instance) :class:`JitProgram` for one lane mode.
+def jit_program(program, line_shift: int, geom: tuple) -> JitProgram:
+    """The (per-program-instance) :class:`JitProgram` for one geometry.
     Compiled code objects underneath are content-addressed and shared
     process-wide; this level only holds the bound functions."""
     cache = program.__dict__.setdefault("_blockjit", {})
-    k = (mode, cb_mask, line_shift, geom)
+    k = (line_shift, geom)
     jp = cache.get(k)
     if jp is None:
-        jp = cache[k] = JitProgram(program, mode, cb_mask, line_shift, geom)
+        jp = cache[k] = JitProgram(program, line_shift, geom)
     return jp
 
 
@@ -802,17 +698,16 @@ def program_translate_seconds(program) -> float:
     return sum(jp.translate_seconds for jp in cache.values())
 
 
-def run_warm_jit(interp, max_instructions: int,
+def run_warm_jit(interp, max_instructions: int, warm: WarmTargets,
                  on_ifetch=None, on_mem=None, on_branch=None,
-                 warm: Optional[WarmTargets] = None,
                  translate_hook=None) -> int:
     """Block-at-a-time warm execution driver (see
     :meth:`Interpreter.run_warm_jit`).  Returns instructions executed.
 
-    With ``warm`` set, compiled blocks feed the hierarchy/predictor warm
-    paths directly (batched) and the per-op callbacks serve only the
-    interpreter fallback for budget tails and out-of-range PCs — which
-    keeps the fallback stream identical to the interp lane's.
+    Compiled blocks feed the ``warm`` hierarchy/predictor warm paths
+    directly (batched); the per-op callbacks serve only the interpreter
+    fallback for budget tails, out-of-range PCs and registers that are
+    not 64-bit clean.
     """
     if interp.halted or max_instructions <= 0:
         return 0
@@ -824,21 +719,12 @@ def run_warm_jit(interp, max_instructions: int,
                                on_branch)
     program = interp.program
     mem = interp.memory
-    if warm is None:
-        mask = ((_CB_IFETCH if on_ifetch is not None else 0)
-                | (_CB_MEM if on_mem is not None else 0)
-                | (_CB_BRANCH if on_branch is not None else 0))
-        jp = jit_program(program, "events", cb_mask=mask)
-        W = (on_ifetch, on_mem, on_branch)
-    else:
-        h = warm.hierarchy
-        p = warm.predictor
-        jp = jit_program(program, "warm", line_shift=warm.pc_line_shift,
-                         geom=warm_geom(h, p, mem))
-        W = (h.l1d, h.l1i, h.warm_ifetch_line, h.warm_load_miss,
-             p.update, p.warm_update_vector, warm.prev_taken, p)
+    h = warm.hierarchy
+    p = warm.predictor
+    jp = jit_program(program, warm.pc_line_shift, warm_geom(h, p, mem))
+    W = (h.l1d, h.l1i, h.warm_ifetch_line, h.warm_load_miss,
+         p.update, p.warm_update_vector, warm.prev_taken, p)
     mw = mem._words
-    mem_load = mem.load
     n_prog = len(program.instructions)
     entries = jp.entries
     entry_at = jp.entry_at
@@ -853,7 +739,7 @@ def run_warm_jit(interp, max_instructions: int,
         remaining = max_instructions - executed
         if e.length > remaining:
             break  # sub-block tail: interpreter below
-        pc, did = e.fn(regs, mw, mem_load, W, remaining, pc)
+        pc, did = e.fn(regs, mw, W, remaining, pc)
         executed += did
         if e.kind == HALT:
             interp.halted = True

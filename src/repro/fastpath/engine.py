@@ -56,7 +56,6 @@ def run_two_tier(
     plan: SamplingConfig,
     max_instructions: int,
     max_cycles: Optional[int] = None,
-    ff_lane: Optional[str] = None,
 ) -> dict[str, Any]:
     """Advance ``max_instructions`` through alternating detailed bursts
     and functional fast-forward gaps; returns the sampling metadata.
@@ -64,11 +63,9 @@ def run_two_tier(
     The processor is expected to be warmed up already (or fresh); its
     ``stats`` afterwards describe the detailed bursts.  Host time spent
     in each tier is measured separately (``detailed_seconds``,
-    ``fast_forward_seconds``).  ``ff_lane`` selects the fast-forward
-    lane (``"interp"``/``"jit"``) per gap; ``None`` defers to the
-    processor's configured default.  Block-translation host time (jit
-    lane) lands inside ``fast_forward_seconds`` and is also broken out
-    as ``translate_seconds``.
+    ``fast_forward_seconds``).  Block-translation host time lands inside
+    ``fast_forward_seconds`` and is also broken out as
+    ``translate_seconds``.
     """
     plan.validate()
     ramp = plan.ramp_instructions
@@ -115,7 +112,7 @@ def run_two_tier(
         if gap <= 0 or processor.halted:
             continue
         t1 = perf()
-        skipped = processor.fast_forward(gap, lane=ff_lane)
+        skipped = processor.fast_forward(gap)
         ff_seconds += perf() - t1
         ff_insts += skipped
         advanced += skipped
@@ -126,14 +123,9 @@ def run_two_tier(
     ipc_est = m_insts / m_cycles if m_cycles else 0.0
     share_cycles = stats.cycles_in_rab + stats.cycles_in_traditional
     total_detailed_cycles = processor.now
-    # getattr: tolerate minimal processor stand-ins (tests) that predate
-    # the lane attributes.
-    from .blockjit import resolve_ff_lane
     return {
         "tier": plan.tier,
-        "ff_lane": resolve_ff_lane(ff_lane,
-                                   getattr(processor, "ff_lane", None)),
-        "translate_seconds": getattr(processor, "ff_translate_seconds", 0.0),
+        "translate_seconds": processor.ff_translate_seconds,
         "ramp_instructions": ramp,
         "window_instructions": window,
         "stride_instructions": stride,

@@ -55,14 +55,14 @@ def runahead_share(stats: Mapping[str, Any]) -> float:
 
 def scrub_host_keys(value: Any) -> Any:
     """``value`` minus every host-environment key, recursively: the
-    ``*seconds*`` timings and the fast-forward lane tag.  Neither
-    affects simulated state and both vary run to run, so cached
-    sampling metadata and :func:`stats_fingerprint` drop them.
-    Mappings become dicts and lists/tuples become lists, the shapes a
-    JSON round trip gives back."""
+    ``*seconds*`` timings.  They do not affect simulated state and vary
+    run to run, so cached sampling metadata and
+    :func:`stats_fingerprint` drop them.  Mappings become dicts and
+    lists/tuples become lists, the shapes a JSON round trip gives
+    back."""
     if isinstance(value, Mapping):
         return {k: scrub_host_keys(v) for k, v in value.items()
-                if "seconds" not in k and k != "ff_lane"}
+                if "seconds" not in k}
     if isinstance(value, (list, tuple)):
         return [scrub_host_keys(v) for v in value]
     return value

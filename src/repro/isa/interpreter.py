@@ -137,7 +137,8 @@ class Interpreter:
         """Batched execution with memory-system callbacks; returns the
         number of instructions executed (stops at HALT).
 
-        This is the fast-forward tier of two-tier simulation: the same
+        This is the reference fast-forward loop of two-tier simulation,
+        and :meth:`run_warm_jit` falls back to it per op: the same
         architectural semantics as :meth:`step`, inlined into one loop
         with no :class:`RetiredOp` allocation, reporting side effects
         through callbacks instead — ``on_ifetch(pc)`` once per
@@ -210,20 +211,20 @@ class Interpreter:
     def run_warm_jit(
         self,
         max_instructions: int,
+        warm,
         on_ifetch: Optional[Callable[[int], None]] = None,
         on_mem: Optional[Callable[[int], None]] = None,
         on_branch: Optional[Callable[[int, Instruction, bool, int], None]] = None,
-        warm=None,
         translate_hook=None,
     ) -> int:
-        """Block-compiled variant of :meth:`run_warm` (the jit
-        fast-forward lane).  Same architectural semantics and, in events
-        mode (``warm=None``), the identical callback stream; with a
-        ``repro.fastpath.blockjit.WarmTargets`` the compiled blocks feed
-        the cache/predictor warm paths directly in batches.  Falls back
-        to :meth:`run_warm` per-op for out-of-range PCs, non-64-bit-clean
-        registers, and sub-block budget tails.
+        """Block-compiled variant of :meth:`run_warm` (the fast-forward
+        lane).  Same architectural semantics; the compiled blocks feed
+        the cache/predictor warm paths of ``warm`` (a
+        ``repro.fastpath.blockjit.WarmTargets``) directly in batches.
+        Falls back to :meth:`run_warm` with the per-op callbacks for
+        out-of-range PCs, non-64-bit-clean registers, and sub-block
+        budget tails.
         """
         from ..fastpath.blockjit import run_warm_jit
-        return run_warm_jit(self, max_instructions, on_ifetch, on_mem,
-                            on_branch, warm, translate_hook)
+        return run_warm_jit(self, max_instructions, warm, on_ifetch, on_mem,
+                            on_branch, translate_hook)

@@ -112,8 +112,7 @@ class System:
     def warm_up(self, instructions: int) -> list[int]:
         """Functionally warm each core in core order.  Sequential by
         design: warm-up is untimed, and a fixed order keeps the shared
-        LLC's warm contents deterministic.  Either fast-forward lane
-        (``REPRO_FF_LANE``, default jit) gives the same warm state.
+        LLC's warm contents deterministic.
 
         Warm-up evictions are attributed to the warming core, then the
         interference counters are reset: warm-order artifacts are not

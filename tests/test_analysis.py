@@ -124,21 +124,21 @@ class TestExperimentMatrix:
         m1 = ExperimentMatrix(instructions=400, warmup=500, cache_path=path)
         m1.get("calculix", "baseline")
         m1.save()
-        from repro.core import simulate
+        from repro.analysis.parallel import simulate_cell
         calls = []
 
-        def spy(*args, **kwargs):
-            calls.append(kwargs)
-            return simulate(*args, **kwargs)
+        def spy(spec):
+            calls.append(spec)
+            return simulate_cell(spec)
 
-        monkeypatch.setattr("repro.analysis.experiments.simulate", spy)
+        monkeypatch.setattr("repro.analysis.parallel.simulate_cell", spy)
         m2 = ExperimentMatrix(instructions=400, warmup=500, cache_path=path)
         m2.get("calculix", "baseline")
         assert not calls  # same warmup: served from cache
         m3 = ExperimentMatrix(instructions=400, warmup=700, cache_path=path)
         m3.get("calculix", "baseline")
         assert len(calls) == 1  # warmup changed: cell re-simulated
-        assert calls[0]["warmup_instructions"] == 700
+        assert calls[0].warmup == 700
 
     def test_payload_persists_budgets_and_schema(self, tmp_path):
         from repro.analysis import KEY_SCHEMA, MODEL_VERSION
@@ -184,7 +184,7 @@ class TestExperimentMatrix:
         def boom(*args, **kwargs):
             raise AssertionError("plain cell should reuse +chains result")
 
-        monkeypatch.setattr("repro.analysis.experiments.simulate", boom)
+        monkeypatch.setattr("repro.analysis.parallel.simulate_cell", boom)
         assert matrix.get("calculix", "baseline") is chains
         assert matrix.is_cached("calculix", "baseline")
 
@@ -292,14 +292,12 @@ class TestConcurrentWriters:
 
 
 class TestHostKeyScrub:
-    """REPRO_FF_LANE (and the other host-environment knobs) must never
-    leak into cell keys or cached payloads: lanes are byte-identical by
-    the lane-identity gate, so cached cells must be lane-agnostic."""
+    """Host timings vary run to run, so cached payloads must not carry
+    them."""
 
-    def _cache_bytes(self, tmp_path, monkeypatch, lane):
+    def test_cached_sampled_payload_holds_no_host_keys(self, tmp_path):
         from repro.config import SamplingConfig
-        monkeypatch.setenv("REPRO_FF_LANE", lane)
-        path = tmp_path / f"{lane}.json"
+        path = tmp_path / "cache.json"
         plan = SamplingConfig(tier="two-level", ramp_instructions=100,
                               window_instructions=200,
                               stride_instructions=1000)
@@ -307,34 +305,18 @@ class TestHostKeyScrub:
                                   cache_path=path, sampling=plan)
         matrix.get("calculix", "baseline")
         matrix.save()
-        return path.read_bytes()
-
-    def test_ff_lane_env_never_reaches_cache(self, tmp_path, monkeypatch):
-        jit = self._cache_bytes(tmp_path, monkeypatch, "jit")
-        interp = self._cache_bytes(tmp_path, monkeypatch, "interp")
-        assert b"ff_lane" not in jit
-        assert b"jit" not in jit.replace(b"calculix", b"")
-        assert jit == interp  # byte-identical payload across lanes
-
-    def test_ff_lane_env_never_reaches_cell_keys(self, monkeypatch):
-        from repro.config import SamplingConfig
-        plan = SamplingConfig(tier="two-level", ramp_instructions=100,
-                              window_instructions=200,
-                              stride_instructions=1000)
-        keys = []
-        for lane in ("jit", "interp"):
-            monkeypatch.setenv("REPRO_FF_LANE", lane)
-            matrix = ExperimentMatrix(instructions=3000, warmup=1000,
-                                      cache_path=None, sampling=plan)
-            keys.append(matrix._key("calculix", "baseline", False))
-        assert keys[0] == keys[1]
-        assert "lane" not in keys[0]
+        text = path.read_text()
+        (cell,) = json.loads(text)["results"].values()
+        sampling = cell["sampling"]
+        assert sampling["windows"] > 0
+        keys = [*sampling, *sampling["estimates"]]
+        assert not [k for k in keys if k.endswith("_seconds")]
+        assert "lane" not in text and "jit" not in text
 
     def test_cacheable_sampling_scrubs_host_keys_recursively(self):
         from repro.fastpath import scrub_host_keys
         meta = {
             "windows": 3,
-            "ff_lane": "jit",
             "ff_seconds": 1.25,
             "estimates": {"ipc": 0.5, "translate_seconds": 0.1},
         }
@@ -345,7 +327,7 @@ class TestHostKeyScrub:
         # Lists and tuples are walked too (and come back as lists, the
         # shape a JSON round trip gives).
         nested = {"per_window": ({"ipc": 0.4, "detailed_seconds": 0.2},
-                                 [{"ff_lane": "interp", "mpki": 1.0}])}
+                                 [{"wall_seconds": 0.3, "mpki": 1.0}])}
         assert scrub_host_keys(nested) == {
             "per_window": [{"ipc": 0.4}, [{"mpki": 1.0}]],
         }

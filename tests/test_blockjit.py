@@ -2,10 +2,10 @@
 
 The differential heavy-lifting — compiled lane vs ``run_warm`` over the
 fuzz corpus and the real kernels — lives in ``test_warmup_parity.py``.
-This file pins the pieces individually: lane resolution, block/region
-discovery, generated source shape, content-addressed code sharing, the
-driver's fallback rules, the batched branch trainer, and the flattened
-warm-path helpers in ``repro.memory.hierarchy``.
+This file pins the pieces individually: block/region discovery,
+generated source shape, content-addressed code sharing, the driver's
+fallback rules, the batched branch trainer, and the flattened warm-path
+helpers in ``repro.memory.hierarchy``.
 """
 
 from __future__ import annotations
@@ -16,48 +16,32 @@ import pytest
 
 from repro.config import build_named_config
 from repro.fastpath import blockjit
-from repro.fastpath.blockjit import (FF_LANES, WarmTargets, jit_program,
-                                     program_translate_seconds,
-                                     resolve_ff_lane)
+from repro.fastpath.blockjit import (WarmTargets, jit_program,
+                                     program_translate_seconds, warm_geom)
 from repro.frontend.branch_predictor import BranchPredictor
-from repro.isa import Interpreter, ProgramBuilder
+from repro.isa import DataMemory, Interpreter, ProgramBuilder
 from repro.isa.blocks import (BRANCH, HALT, LOOP, REGION, STRAIGHT,
                               discover_block, discover_region)
 from repro.memory import MemoryHierarchy, SharedLLC
 
 
-# ---------------------------------------------------------------------------
-# Lane resolution
-# ---------------------------------------------------------------------------
+def _warm() -> WarmTargets:
+    """Fresh baseline caches and predictor for one jit run."""
+    cfg = build_named_config("baseline")
+    hierarchy = MemoryHierarchy(cfg)
+    shift = ((hierarchy.l1i.line_bytes.bit_length() - 1)
+             - (blockjit.INST_BYTES.bit_length() - 1))
+    return WarmTargets(hierarchy=hierarchy,
+                       predictor=BranchPredictor(cfg.branch),
+                       prev_taken={}, pc_line_shift=shift)
 
-class TestResolveFFLane:
-    def test_default_is_jit(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FF_LANE", raising=False)
-        assert resolve_ff_lane() == "jit"
 
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FF_LANE", "interp")
-        assert resolve_ff_lane() == "interp"
-
-    def test_session_default_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FF_LANE", "interp")
-        assert resolve_ff_lane(None, "jit") == "jit"
-
-    def test_explicit_beats_everything(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FF_LANE", "interp")
-        assert resolve_ff_lane("jit", "interp") == "jit"
-
-    @pytest.mark.parametrize("bad", ["turbo", "JIT"])
-    def test_unknown_lane_rejected(self, bad):
-        with pytest.raises(ValueError, match="lane"):
-            resolve_ff_lane(bad)
-
-    def test_empty_string_is_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FF_LANE", raising=False)
-        assert resolve_ff_lane("", "") == "jit"
-
-    def test_lane_tuple(self):
-        assert FF_LANES == ("interp", "jit")
+def _layout() -> tuple[int, tuple]:
+    """The (line shift, geometry) specialization of a ``_warm()`` run
+    over a default-filled memory."""
+    warm = _warm()
+    return warm.pc_line_shift, warm_geom(warm.hierarchy, warm.predictor,
+                                         DataMemory())
 
 
 # ---------------------------------------------------------------------------
@@ -135,22 +119,15 @@ class TestCodegen:
     def test_source_deterministic(self):
         program = _loop_program()
         blk = discover_block(program, 1)
-        s1 = blockjit.generate_source(blk, "events", cb_mask=7)
-        s2 = blockjit.generate_source(blk, "events", cb_mask=7)
+        s1 = blockjit.generate_source(blk, *_layout())
+        s2 = blockjit.generate_source(blk, *_layout())
         assert s1 == s2
-
-    def test_events_mask_gates_callbacks(self):
-        program = _loop_program()
-        blk = discover_block(program, 1)
-        full = blockjit.generate_source(blk, "events", cb_mask=7)
-        silent = blockjit.generate_source(blk, "events", cb_mask=0)
-        assert "on_ifetch(" in full and "on_branch(" in full
-        assert "on_ifetch(" not in silent and "on_branch(" not in silent
 
     def test_compiled_block_executes(self):
         program = _loop_program()
         interp = Interpreter(program)
-        assert interp.run_warm_jit(10 ** 6) == 202  # LI + 100*(ADDI+BNE) + HALT
+        # LI + 100*(ADDI+BNE) + HALT
+        assert interp.run_warm_jit(10 ** 6, _warm()) == 202
         assert interp.halted
         ref = Interpreter(program)
         ref.run_warm(10 ** 6)
@@ -168,10 +145,10 @@ class TestCodegen:
             return b.build()
 
         p1, p2 = build(), build()
-        jp1 = jit_program(p1, "events", cb_mask=0)
+        jp1 = jit_program(p1, *_layout())
         jp1.entry_at(1)
         before = len(blockjit._CODE_CACHE)
-        jp2 = jit_program(p2, "events", cb_mask=0)
+        jp2 = jit_program(p2, *_layout())
         jp2.entry_at(1)
         assert len(blockjit._CODE_CACHE) == before  # content-addressed hit
         # Same compiled code object underneath, distinct bound functions.
@@ -179,7 +156,7 @@ class TestCodegen:
 
     def test_translate_accounting(self):
         program = _loop_program()
-        jp = jit_program(program, "events", cb_mask=0)
+        jp = jit_program(program, *_layout())
         jp.entry_at(1)
         assert jp.translate_count == 1
         assert jp.translate_seconds > 0.0
@@ -190,7 +167,8 @@ class TestCodegen:
         program = _loop_program()
         calls: list[tuple[int, int, bool]] = []
         interp = Interpreter(program)
-        interp.run_warm_jit(50, translate_hook=lambda *a: calls.append(a))
+        interp.run_warm_jit(50, _warm(),
+                            translate_hook=lambda *a: calls.append(a))
         first = list(calls)
         assert first, "hook never fired"
         for pc, length, loop in first:
@@ -203,7 +181,8 @@ class TestCodegen:
         # Second run on the same program: everything is served from the
         # per-program entry cache, so the hook stays silent.
         interp2 = Interpreter(program)
-        interp2.run_warm_jit(50, translate_hook=lambda *a: calls.append(a))
+        interp2.run_warm_jit(50, _warm(),
+                             translate_hook=lambda *a: calls.append(a))
         assert calls == first
 
 
@@ -215,14 +194,14 @@ class TestDriverFallbacks:
     def test_halted_is_inert(self):
         program = _loop_program()
         interp = Interpreter(program)
-        interp.run_warm_jit(10 ** 6)
+        interp.run_warm_jit(10 ** 6, _warm())
         assert interp.halted
-        assert interp.run_warm_jit(100) == 0
+        assert interp.run_warm_jit(100, _warm()) == 0
 
     def test_nonpositive_budget(self):
         interp = Interpreter(_loop_program())
-        assert interp.run_warm_jit(0) == 0
-        assert interp.run_warm_jit(-5) == 0
+        assert interp.run_warm_jit(0, _warm()) == 0
+        assert interp.run_warm_jit(-5, _warm()) == 0
 
     def test_unclean_regs_fall_back_to_interp(self):
         program = _loop_program()
@@ -230,7 +209,7 @@ class TestDriverFallbacks:
         interp.regs[5] = -3          # 64-bit-unclean: jit lane must punt
         ref = Interpreter(program)
         ref.regs[5] = -3
-        assert interp.run_warm_jit(50) == ref.run_warm(50)
+        assert interp.run_warm_jit(50, _warm()) == ref.run_warm(50)
         assert interp.regs == ref.regs
         assert interp.pc == ref.pc
 
@@ -243,7 +222,7 @@ class TestDriverFallbacks:
         program = b.build()
         interp = Interpreter(program)
         ref = Interpreter(program)
-        assert interp.run_warm_jit(10) == ref.run_warm(10)
+        assert interp.run_warm_jit(10, _warm()) == ref.run_warm(10)
         assert interp.regs == ref.regs
         assert interp.pc == ref.pc
 
@@ -253,7 +232,8 @@ class TestDriverFallbacks:
         for budget in (1, 2, 3, 4, 7, 50):
             interp = Interpreter(program)
             ref = Interpreter(program)
-            assert interp.run_warm_jit(budget) == ref.run_warm(budget)
+            assert interp.run_warm_jit(budget, _warm()) == \
+                ref.run_warm(budget)
             assert interp.pc == ref.pc
             assert interp.regs == ref.regs
 
@@ -409,18 +389,10 @@ class TestFlatWarmHelpers:
 # ---------------------------------------------------------------------------
 
 def test_warm_targets_drive_hierarchy_and_predictor():
-    program = _loop_program()
-    cfg = build_named_config("baseline")
-    interp = Interpreter(program)
-    hierarchy = MemoryHierarchy(cfg)
-    pred = BranchPredictor(cfg.branch)
-    prev: dict[int, bool] = {}
-    shift = ((hierarchy.l1i.line_bytes.bit_length() - 1)
-             - (blockjit.INST_BYTES.bit_length() - 1))
-    warm = WarmTargets(hierarchy=hierarchy, predictor=pred,
-                       prev_taken=prev, pc_line_shift=shift)
-    executed = interp.run_warm_jit(10 ** 6, warm=warm)
+    interp = Interpreter(_loop_program())
+    warm = _warm()
+    executed = interp.run_warm_jit(10 ** 6, warm)
     assert interp.halted and executed == 202
-    assert hierarchy.l1i._mru_key != -1          # I-lines warmed
-    assert 2 in pred._btb                        # loop branch trained
-    assert prev == {2: False}                    # final not-taken recorded
+    assert warm.hierarchy.l1i._mru_key != -1     # I-lines warmed
+    assert 2 in warm.predictor._btb              # loop branch trained
+    assert warm.prev_taken == {2: False}         # final not-taken recorded

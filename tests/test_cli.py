@@ -63,6 +63,7 @@ def test_compare_with_jobs_matches_serial(capsys):
     ["suite", "--jobs", "0"],
     ["compare", "mcf", "--jobs", "-1"],
     ["sweep", "buffer-size", "--jobs", "0"],
+    ["verify", "--invariants", "--invariant-every", "0"],
 ], ids=lambda argv: "-".join(argv))
 def test_bad_input_is_an_error_not_a_traceback(argv, capsys):
     """Bad names, plans and budgets stop at argument parsing: argparse's
@@ -107,10 +108,11 @@ def test_run_multicore_flag_misuse_rejected(capsys):
     assert main(["run", "mcf", "--cores", "2", "--tier", "two-level",
                  "--instructions", "500"]) == 2
     capsys.readouterr()
-    # The multicore path takes its warm-up lane from REPRO_FF_LANE only.
-    assert main(["run", "mcf,lbm", "--cores", "2", "--ff-lane", "interp",
-                 "--instructions", "500"]) == 2
-    assert "error: --ff-lane" in capsys.readouterr().err
+    # The block jit is the only fast-forward lane: no flag selects one.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "mcf", "--ff-lane", "interp"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_bad_config_rejected(capsys):

@@ -13,11 +13,14 @@ the legacy single-core path, not merely close.
 
 from __future__ import annotations
 
+from functools import partialmethod
+
 import pytest
 
 from repro import simulate, simulate_multicore
 from repro.config import (assert_shared_geometry, build_named_config,
                           validate_share)
+from repro.core.processor import Processor
 from repro.multicore import CoreSpec, System
 
 INSTS = 2_000
@@ -136,11 +139,11 @@ def test_warm_up_is_lane_independent_and_runs_on_the_jit_lane(monkeypatch):
     """Both fast-forward lanes leave a shared LLC in the same warm state,
     so the timed runs match, and the default (jit) lane really runs."""
     runs = {}
-    for lane in ("interp", "jit"):
-        if lane == "jit":
-            monkeypatch.delenv("REPRO_FF_LANE", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_FF_LANE", lane)
+    for lane in ("jit", "interp"):
+        if lane == "interp":
+            monkeypatch.setattr(
+                Processor, "fast_forward",
+                partialmethod(Processor.fast_forward, lane="interp"))
         warm = {}
 
         def attach(system, warm=warm):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import json
 import os
+from functools import partialmethod
 from pathlib import Path
 
 import pytest
@@ -202,7 +203,7 @@ def test_ff_block_translate_seam():
     tracer = Tracer(kinds=["ff.block_translate"])
     result = simulate("mcf", build_named_config("hybrid"),
                       max_instructions=20_000, warmup_instructions=0,
-                      attach=tracer.attach, sampling=plan, ff_lane="jit")
+                      attach=tracer.attach, sampling=plan)
     events = tracer.trace.events("ff.block_translate")
     assert events, "no translation events from a cold two-level run"
     program_len = len(build_workload("mcf").program.instructions)
@@ -219,16 +220,18 @@ def test_ff_block_translate_seam():
     tracer.detach()
 
 
-def test_ff_block_translate_silent_on_interp_lane():
+def test_ff_block_translate_silent_on_interp_lane(monkeypatch):
     from repro.config import SamplingConfig
 
+    monkeypatch.setattr(Processor, "fast_forward",
+                        partialmethod(Processor.fast_forward, lane="interp"))
     plan = SamplingConfig(tier="two-level", ramp_instructions=300,
                           window_instructions=900,
                           stride_instructions=4_000)
     tracer = Tracer(kinds=["ff.block_translate"])
     simulate("mcf", build_named_config("hybrid"),
              max_instructions=20_000, warmup_instructions=0,
-             attach=tracer.attach, sampling=plan, ff_lane="interp")
+             attach=tracer.attach, sampling=plan)
     assert tracer.trace.counts["ff.block_translate"] == 0
     tracer.detach()
 
@@ -441,32 +444,6 @@ def test_registry_errors_and_exports(hybrid_run, tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("workload,config")
     assert lines[1].startswith("mcf,")
-
-
-# ---------------------------------------------------------------------------
-# Analysis integration
-# ---------------------------------------------------------------------------
-
-def test_experiment_matrix_persists_traces(tmp_path):
-    from repro.analysis.experiments import ExperimentMatrix
-
-    traced = ExperimentMatrix(instructions=INSTRUCTIONS, warmup=WARMUP,
-                              cache_path=None, trace_dir=tmp_path / "traces")
-    stats = traced.get("mcf", "hybrid")
-    (trace_file,) = sorted((tmp_path / "traces").iterdir())
-    assert trace_file.name == \
-        f"mcf_hybrid_{INSTRUCTIONS}_w{WARMUP}.perfetto.json"
-    doc = json.loads(trace_file.read_text())
-    assert doc["otherData"]["cell"] == f"mcf/hybrid/{INSTRUCTIONS}/w{WARMUP}"
-    assert any(e.get("ph") == "X" for e in doc["traceEvents"])
-    # Tracing a cell must not change its stats (cache compatibility).
-    plain = ExperimentMatrix(instructions=INSTRUCTIONS, warmup=WARMUP,
-                             cache_path=None)
-    assert stats == plain.get("mcf", "hybrid")
-    # Cached cells are never re-simulated, hence never re-traced.
-    trace_file.unlink()
-    traced.get("mcf", "hybrid")
-    assert not list((tmp_path / "traces").iterdir())
 
 
 def test_export_perfetto_validates(hybrid_run):
