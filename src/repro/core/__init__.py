@@ -2,7 +2,7 @@
 
 from .dataflow import DataflowTracker
 from .processor import Processor
-from .sim import SimulationResult, simulate, simulate_cohort
+from .sim import SimulationResult, cohort_runs, simulate, simulate_cohort
 from .stats import ChainAnalysis, SimStats
 from .trace import CommitTrace, CommittedOp, render_interval_timeline
 
@@ -14,6 +14,7 @@ __all__ = [
     "Processor",
     "SimStats",
     "SimulationResult",
+    "cohort_runs",
     "render_interval_timeline",
     "simulate",
     "simulate_cohort",

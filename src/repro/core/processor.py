@@ -1501,6 +1501,14 @@ class Processor:
         s.fetched_uops = self._ev_fetch
         return self._member_fields(s, self.members[0])
 
+    def attached(self) -> list[bool]:
+        """Whether each configuration this core serves, in construction
+        order (``config``'s, then ``riders``'), still rides its
+        trajectory.  The lead always does; a rider stops at the decision
+        where it detaches."""
+        members = self.members
+        return [member in members for member in self._policies]
+
     def member_stats(self) -> list[Optional[SimStats]]:
         """The last run's stats for each configuration this core serves,
         in construction order (``config``'s, then ``riders``'), or

@@ -9,15 +9,18 @@ This is the main entry point of the public API::
 
 :func:`simulate_cohort` runs several configurations that differ only in
 their runahead entry policy together, sharing runs where their entry
-decisions agree; :func:`simulate` is the cohort of one.
+decisions agree; :func:`simulate` is the cohort of one.  Its run loop,
+:func:`cohort_runs`, also serves the differential fuzz campaign
+(:mod:`repro.verify`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
-from ..config import SamplingConfig, SystemConfig, default_system
+from ..config import (RunaheadConfig, SamplingConfig, SystemConfig,
+                      default_system)
 from ..energy import EnergyModel, EnergyReport
 from ..isa import Program
 from .processor import Processor
@@ -102,6 +105,46 @@ def simulate(
                             sampling=meta)
 
 
+def cohort_runs(
+    configs: Sequence[SystemConfig],
+    build: Callable[[SystemConfig, list[RunaheadConfig]], Processor],
+    max_instructions: int,
+) -> Iterator[tuple[Processor, list[int], Optional[Exception]]]:
+    """Run ``configs``, which differ only in their runahead entry policy
+    (equal :func:`~repro.config.cohort_key`), in as few detailed runs as
+    their trajectories allow.
+
+    Each run simulates a trajectory for every pending config: the first
+    (the lead) steers it, and each other config rides along with its own
+    entry policy until its decision takes another path.
+    ``build(lead, riders)`` returns the run's processor, built and warmed
+    but not yet run; this loop runs it for ``max_instructions``.
+
+    Yields ``(processor, members, error)`` per run: ``members`` are the
+    run's configs as positions in ``configs``, in construction order
+    (the order of ``processor.attached()`` and ``member_stats()``), and
+    ``error`` is the exception the run raised, or ``None``.  A failed
+    run's error belongs to every member still attached when it was
+    raised.  Members that detached run again from scratch as the next
+    run's cohort.  A caller that drops ``processor`` before asking for
+    the next run keeps one processor alive at a time."""
+    pending = list(range(len(configs)))
+    while pending:
+        processor = build(configs[pending[0]],
+                          [configs[i].runahead for i in pending[1:]])
+        error = None
+        try:
+            processor.run(max_instructions)
+        except Exception as exc:   # handed to the caller with its members
+            error = exc
+        members = pending
+        pending = [i for i, attached in zip(members, processor.attached())
+                   if not attached]
+        yield processor, members, error
+        # The caller holds this run now: free it before the next build.
+        del processor, error
+
+
 def simulate_cohort(
     workload: str,
     configs: Sequence[SystemConfig],
@@ -111,37 +154,37 @@ def simulate_cohort(
 ) -> tuple[list[SimStats], int]:
     """Run ``configs``, which differ only in their runahead entry policy
     (equal :func:`~repro.config.cohort_key`), on the named workload in as
-    few detailed runs as their trajectories allow.
+    few detailed runs as their trajectories allow (:func:`cohort_runs`).
 
-    One run simulates a trajectory for every pending config: the first
-    (the lead) steers it, and each other config rides along with its own
-    entry policy until its decision takes another path.  Configs that
-    detach run again from scratch as the next cohort.  Returns each
-    config's stats, in order, each equal to the stats :func:`simulate`
-    returns for that config alone (energy report included), and the
-    number of runs it took.
+    Returns each config's stats, in order, each equal to the stats
+    :func:`simulate` returns for that config alone (energy report
+    included), and the number of runs it took.
     """
     from ..workloads import build_workload
 
-    names = list(config_names) or [""] * len(configs)
-    results: list[Optional[SimStats]] = [None] * len(configs)
-    pending = list(range(len(configs)))
-    runs = 0
-    while pending:
+    def build(lead: SystemConfig, riders: list[RunaheadConfig]
+              ) -> Processor:
         built = build_workload(workload)
         processor = Processor(
-            built.program, configs[pending[0]], memory=built.memory,
-            init_regs=built.init_regs,
-            riders=[configs[i].runahead for i in pending[1:]])
+            built.program, lead, memory=built.memory,
+            init_regs=built.init_regs, riders=riders)
         if warmup_instructions > 0:
             processor.warm_up(warmup_instructions)
-        processor.run(max_instructions)
+        return processor
+
+    names = list(config_names) or [""] * len(configs)
+    results: list[Optional[SimStats]] = [None] * len(configs)
+    runs = 0
+    for processor, members, error in cohort_runs(configs, build,
+                                                 max_instructions):
+        if error is not None:
+            raise error
         runs += 1
-        for index, stats in zip(pending, processor.member_stats()):
+        for index, stats in zip(members, processor.member_stats()):
             if stats is not None:
                 _finish(stats, configs[index], names[index])
                 results[index] = stats
-        pending = [i for i in pending if results[i] is None]
+        del processor   # free this run before the next one is built
     return results, runs
 
 

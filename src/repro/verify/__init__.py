@@ -11,7 +11,8 @@ the standing oracle that enforces that:
   call/branch webs, R0 edge cases, long-latency dependence chains,
   nested counted loops) that are guaranteed to terminate;
 * :mod:`repro.verify.differential` — runs one program through both the
-  interpreter oracle and the full OoO core, diffs the retirement streams
+  interpreter oracle and the full OoO core (configs that differ only in
+  their runahead entry policy share core runs), diffs the retirement streams
   (opcode, pc, next_pc, taken, dest_value, mem_addr) and the final
   architectural register/memory state, and renders a divergence report
   that pinpoints the first mismatching retired op;
@@ -25,8 +26,10 @@ the standing oracle that enforces that:
 """
 
 from .differential import (
+    CoreRun,
     Divergence,
     RetireRecord,
+    SharedRuns,
     diff_run,
     oracle_stream,
     processor_stream,
@@ -38,12 +41,14 @@ from .invariants import InvariantChecker, InvariantError, attach_invariant_check
 
 __all__ = [
     "DEFAULT_CONFIGS",
+    "CoreRun",
     "Divergence",
     "FuzzProgram",
     "FuzzSpec",
     "InvariantChecker",
     "InvariantError",
     "RetireRecord",
+    "SharedRuns",
     "VerifyOutcome",
     "attach_invariant_checker",
     "build_fuzz_program",

@@ -19,11 +19,14 @@ from __future__ import annotations
 
 import traceback
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from types import TracebackType
+from typing import (Callable, Iterator, NamedTuple, Optional, Sequence,
+                    Union)
 
-from ..config import SystemConfig, build_named_config
-from ..core import Processor
-from ..isa import Interpreter, Opcode
+from ..config import (RunaheadConfig, SystemConfig, build_named_config,
+                      cohort_key)
+from ..core import Processor, SimStats, cohort_runs
+from ..isa import DataMemory, Interpreter, Opcode
 from ..isa.uop import CLS_BRANCH, CLS_LOAD, CLS_NOP, CLS_STORE
 from .fuzz import FuzzProgram, format_program
 from .invariants import InvariantError, attach_invariant_checker
@@ -95,17 +98,21 @@ def _resolve_config(config: Union[str, SystemConfig]) -> SystemConfig:
     return config
 
 
-def processor_stream(
-    fp: FuzzProgram,
-    config: Union[str, SystemConfig],
-    max_insts: int,
-    invariants: bool = False,
-    invariant_every: int = 1,
-) -> tuple[list[tuple], Processor]:
-    """Execute the program on the cycle-level OoO core, capturing the
-    architectural commit stream.  With ``invariants=True`` the per-cycle
-    invariant checker is attached (see :mod:`repro.verify.invariants`)."""
-    proc = Processor(fp.program, _resolve_config(config), memory=fp.memory())
+@dataclass
+class CoreRun:
+    """What the diff reads of one config's core run: the config's own
+    stats, and the state the run ended in (shared by every config of a
+    shared run)."""
+
+    stats: SimStats
+    halted: bool
+    cycles: int
+    regs: list[int]           # final architectural registers
+    memory: DataMemory        # final data memory
+
+
+def _commit_recorder() -> tuple[list[tuple], Callable]:
+    """A retirement stream and the commit hook that builds it."""
     records: list[tuple] = []
     append = records.append
 
@@ -127,11 +134,119 @@ def processor_stream(
         else:
             append((pc, inst.opcode, pc + 1, None, uop.value, None))
 
-    proc.commit_hook = hook
-    if invariants:
-        attach_invariant_checker(proc, every=invariant_every)
-    proc.run(max_insts)
-    return records, proc
+    return records, hook
+
+
+class _Failure(NamedTuple):
+    """The exception a shared run raised, with its traceback."""
+
+    error: Exception
+    tb: Optional[TracebackType]
+
+
+class SharedRuns:
+    """The core runs of one fuzz program for a list of configs.
+
+    Configs with equal :func:`~repro.config.cohort_key` share one
+    processor run until their entry decisions differ
+    (:func:`repro.core.cohort_runs`); a config with runahead off runs
+    alone.  A run happens when :meth:`take` first needs it, and each
+    config's stream and :class:`CoreRun` equal its standalone run's.
+    With ``invariants=True`` every run carries the invariant checker."""
+
+    def __init__(
+        self,
+        fp: FuzzProgram,
+        configs: Sequence[Union[str, SystemConfig]],
+        max_insts: int,
+        invariants: bool = False,
+        invariant_every: int = 1,
+    ) -> None:
+        self.fp = fp
+        self.invariants = invariants
+        self.invariant_every = invariant_every
+        # Configs are held by position: the requested configs (None once
+        # handed out), the outcomes of finished runs not yet handed out,
+        # the stream of the run built last, and per config the run loop
+        # of its cohort with the positions that cohort covers.
+        self._slots: list = list(configs)
+        self._results: dict[int, Union[tuple[list[tuple], CoreRun],
+                                       _Failure]] = {}
+        self._stream: list[tuple] = []
+        resolved = [_resolve_config(c) for c in configs]
+        groups: dict[object, list[int]] = {}
+        for index, config in enumerate(resolved):
+            key = cohort_key(config)
+            groups.setdefault(index if key is None else key, []).append(index)
+        self._runs: dict[int, tuple[list[int], Iterator]] = {}
+        for indices in groups.values():
+            loop = cohort_runs([resolved[i] for i in indices], self._build,
+                               max_insts)
+            for index in indices:
+                self._runs[index] = (indices, loop)
+
+    def _build(self, lead: SystemConfig, riders: list[RunaheadConfig]
+               ) -> Processor:
+        fp = self.fp
+        proc = Processor(fp.program, lead, memory=fp.memory(), riders=riders)
+        self._stream, proc.commit_hook = _commit_recorder()
+        if self.invariants:
+            attach_invariant_checker(proc, every=self.invariant_every)
+        return proc
+
+    def _collect(self, indices: list[int], proc: Processor,
+                 members: list[int], error: Optional[Exception]) -> None:
+        """Store one run's outcome for each config still attached at its
+        end (``members`` index ``indices``, the cohort's positions)."""
+        if error is not None:
+            failure = _Failure(error, error.__traceback__)
+            for member, attached in zip(members, proc.attached()):
+                if attached:
+                    self._results[indices[member]] = failure
+            return
+        state = (proc.halted, proc.now, proc.rename.arch_values(),
+                 proc.memory)
+        for member, stats in zip(members, proc.member_stats()):
+            if stats is not None:
+                self._results[indices[member]] = (
+                    self._stream, CoreRun(stats, *state))
+
+    def take(self, config: Union[str, SystemConfig]
+             ) -> tuple[list[tuple], CoreRun]:
+        """``config``'s retirement stream and run record; raises what its
+        run raised.  Each config is handed out once, then dropped."""
+        index = self._slots.index(config)
+        self._slots[index] = None
+        indices, loop = self._runs.pop(index)
+        while index not in self._results:
+            self._collect(indices, *next(loop))
+        result = self._results.pop(index)
+        if isinstance(result, _Failure):
+            # Each config raises the error with the run's own traceback.
+            raise result.error.with_traceback(result.tb)
+        return result
+
+
+def processor_stream(
+    fp: FuzzProgram,
+    config: Union[str, SystemConfig],
+    max_insts: int,
+    invariants: bool = False,
+    invariant_every: int = 1,
+    runs: Optional[SharedRuns] = None,
+) -> tuple[list[tuple], CoreRun]:
+    """Execute the program on the cycle-level OoO core, capturing the
+    architectural commit stream, and return it with the run's record.
+    With ``invariants=True`` the per-step invariant checker is attached
+    (see :mod:`repro.verify.invariants`).
+
+    ``runs`` holds the program's runs for several configs
+    (:class:`SharedRuns`, built with the same budget and invariant
+    settings); without it the config runs as a cohort of one."""
+    if runs is None:
+        runs = SharedRuns(fp, (config,), max_insts, invariants=invariants,
+                          invariant_every=invariant_every)
+    return runs.take(config)
 
 
 def _context(oracle: list[tuple], actual: list[tuple], index: int) -> str:
@@ -168,18 +283,21 @@ def diff_run(
     invariants: bool = False,
     invariant_every: int = 1,
     oracle_run: Optional[tuple[list[tuple], Interpreter]] = None,
+    runs: Optional[SharedRuns] = None,
 ) -> Optional[Divergence]:
     """Run both sides and return the first divergence (or ``None``).
 
     ``oracle_run`` is this program's :func:`oracle_stream` result, when
     the caller diffs several configs against one oracle run; it is only
-    read."""
+    read.  ``runs`` holds the core side's shared runs, handed to
+    :func:`processor_stream`."""
     name = config_name or (config if isinstance(config, str) else "custom")
     oracle, interp = oracle_run or oracle_stream(fp, max_insts)
     try:
-        actual, proc = processor_stream(
+        actual, run = processor_stream(
             fp, config, max_insts,
             invariants=invariants, invariant_every=invariant_every,
+            runs=runs,
         )
     except InvariantError as exc:
         return Divergence(kind="invariant", seed=fp.seed, config=name,
@@ -199,12 +317,12 @@ def diff_run(
             context=_context(oracle, actual, index),
         )
 
-    if interp.halted != proc.halted:
+    if interp.halted != run.halted:
         return Divergence(
             kind="halt", seed=fp.seed, config=name,
             detail=(f"oracle halted={interp.halted} after {len(oracle)} ops; "
-                    f"core halted={proc.halted} after {len(actual)} ops "
-                    f"in {proc.now} cycles"),
+                    f"core halted={run.halted} after {len(actual)} ops "
+                    f"in {run.cycles} cycles"),
         )
     if interp.halted and len(oracle) != len(actual):
         index = min(len(oracle), len(actual))
@@ -218,8 +336,7 @@ def diff_run(
     if interp.halted:
         reg_diffs = [
             f"R{i}: oracle={o:#x} core={a:#x}"
-            for i, (o, a) in enumerate(
-                zip(interp.regs, proc.rename.arch_values()))
+            for i, (o, a) in enumerate(zip(interp.regs, run.regs))
             if o != a
         ]
         if reg_diffs:
@@ -229,7 +346,7 @@ def diff_run(
                         + "\n  ".join(reg_diffs)),
             )
         oracle_mem = interp.memory.snapshot()
-        core_mem = proc.memory.snapshot()
+        core_mem = run.memory.snapshot()
         if oracle_mem != core_mem:
             diffs = []
             for key in sorted(set(oracle_mem) | set(core_mem)):
@@ -246,10 +363,12 @@ def diff_run(
     return None
 
 
-def render_divergence(div: Divergence, fp: FuzzProgram,
-                      max_insts: int) -> str:
+def render_divergence(div: Divergence, fp: FuzzProgram, max_insts: int,
+                      invariants: bool = False,
+                      invariant_every: int = 1) -> str:
     """Full divergence report: what diverged, where, surrounding retired
-    ops, the (minimized) reproducer program, and how to replay it."""
+    ops, the (minimized) reproducer program, and how to replay it (with
+    the campaign's invariant-checker settings)."""
     lines = [
         f"DIVERGENCE kind={div.kind} seed={div.seed} config={div.config}",
         div.detail,
@@ -263,10 +382,12 @@ def render_divergence(div: Divergence, fp: FuzzProgram,
         f"outer_iterations={spec.outer_iterations} "
         f"({len(fp.program)} static insts)"
     )
+    checker = (f" --invariants --invariant-every {invariant_every}"
+               if invariants else "")
     lines.append(
         f"replay: PYTHONPATH=src python -m repro verify "
         f"--seeds 1 --seed-start {div.seed} --insts {max_insts} "
-        f"--configs {div.config}"
+        f"--configs {div.config}{checker}"
     )
     lines.append("program listing:")
     lines.append(format_program(fp.program))

@@ -2,12 +2,14 @@
 
 ``verify_seed`` builds one fuzz program, runs it once on the oracle, and
 diffs every requested core configuration against that one oracle run.
-On a divergence it greedily minimizes the reproducer — dropping whole
-blocks, then shrinking the outer trip count, as long as the divergence
-(same kind, same config) persists — so the report ends with the
-smallest program that still fails.  ``run_verify`` sweeps a seed range,
-writes one report file per failure, and returns an aggregate summary
-for the CLI / CI job.
+The core side runs through :class:`~repro.verify.differential.
+SharedRuns`: configs that differ only in their runahead entry policy
+share one core run until their entry decisions differ.  On a divergence
+it greedily minimizes the reproducer — dropping whole blocks, then
+shrinking the outer trip count, as long as the divergence (same kind,
+same config) persists — so the report ends with the smallest program
+that still fails.  ``run_verify`` sweeps a seed range, writes one report
+file per failure, and returns an aggregate summary for the CLI / CI job.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .differential import (Divergence, diff_run, oracle_stream,
+from .differential import (Divergence, SharedRuns, diff_run, oracle_stream,
                            render_divergence)
 from .fuzz import FuzzProgram, build_fuzz_program, rebuild
 
@@ -52,14 +54,18 @@ def minimize(
     max_insts: int,
     divergence: Divergence,
     invariants: bool = False,
+    invariant_every: int = 1,
 ) -> tuple[FuzzProgram, Divergence]:
     """Greedy shrink: drop blocks, then halve the outer trip count,
-    keeping each change only while the same kind of divergence remains."""
+    keeping each change only while the same kind of divergence remains.
+    Each candidate runs ``config`` alone, with the campaign's invariant
+    checker settings."""
     spec = fp.spec
 
     def still_fails(candidate: FuzzProgram) -> Optional[Divergence]:
         div = diff_run(candidate, config, max_insts, config_name=config,
-                       invariants=invariants)
+                       invariants=invariants,
+                       invariant_every=invariant_every)
         return div if _same_failure(divergence, div) else None
 
     # Pass 1..n: drop one block at a time until no single drop preserves
@@ -102,21 +108,26 @@ def verify_seed(
 ) -> VerifyOutcome:
     """Differentially execute one fuzz seed on every config.  The oracle
     does not depend on the config, so it runs once and every config is
-    diffed against that one run."""
+    diffed against that one run.  The core runs are shared where the
+    configs' trajectories agree (:class:`SharedRuns`); each config is
+    still diffed, in order, against its own stream and final state."""
     fp = build_fuzz_program(seed, target_insts=insts // 2)
     oracle_run = oracle_stream(fp, insts)
+    runs = SharedRuns(fp, configs, insts, invariants=invariants,
+                      invariant_every=invariant_every)
     outcome = VerifyOutcome(seed=seed, insts=insts, configs=tuple(configs))
     for name in configs:
         div = diff_run(fp, name, insts, config_name=name,
                        invariants=invariants,
                        invariant_every=invariant_every,
-                       oracle_run=oracle_run)
+                       oracle_run=oracle_run, runs=runs)
         if div is None:
             continue
         repro = fp
         if do_minimize:
             repro, div = minimize(fp, name, insts, div,
-                                  invariants=invariants)
+                                  invariants=invariants,
+                                  invariant_every=invariant_every)
         outcome.divergences.append(div)
         outcome.reproducers.append(repro)
     return outcome
@@ -154,7 +165,9 @@ def run_verify(
                     report_dir,
                     f"divergence_seed{div.seed}_{div.config}.txt")
                 with open(path, "w") as fh:
-                    fh.write(render_divergence(div, repro, insts))
+                    fh.write(render_divergence(
+                        div, repro, insts, invariants=invariants,
+                        invariant_every=invariant_every))
                 reports.append(path)
     return {
         "seeds_run": seeds,

@@ -60,6 +60,7 @@ def test_rider_detaches_at_a_different_entry_decision():
     proc._maybe_enter_runahead = watched
     proc.run(2_000)
     assert live_after_entry[0] == 1
+    assert proc.attached() == [True, False]
     assert proc.member_stats()[1] is None
 
     stats, runs = _cohort("mcf", ["runahead", "rab"], 2_000, 1_500)

@@ -3,8 +3,8 @@
 Covers the fuzz generator's determinism and termination guarantees, the
 retirement-stream differ, the per-cycle invariant checker (both that it
 passes on a healthy core and that it actually catches seeded
-corruption), the greedy reproducer minimizer, and the ``repro verify``
-CLI plumbing.
+corruption), the greedy reproducer minimizer, the campaign's shared core
+runs, and the ``repro verify`` CLI plumbing.
 """
 
 import pytest
@@ -72,9 +72,9 @@ class TestDifferential:
     def test_streams_match_on_baseline(self):
         fp = build_fuzz_program(0, target_insts=3000)
         oracle, interp = oracle_stream(fp, 6000)
-        actual, proc = processor_stream(fp, "baseline", 6000)
+        actual, run = processor_stream(fp, "baseline", 6000)
         assert diff_streams(oracle, actual) is None
-        assert interp.halted == proc.halted
+        assert interp.halted == run.halted
 
     def test_diff_streams_pinpoints_first_mismatch(self):
         fp = build_fuzz_program(0, target_insts=3000)
@@ -100,14 +100,15 @@ class TestDifferential:
 
     @staticmethod
     def _diff_perturbed(monkeypatch, perturb):
-        """``diff_run`` on baseline with ``perturb(records, proc)``
-        applied to the core side's result before the diff."""
+        """``diff_run`` on baseline with ``perturb(records, run)``
+        applied to the core side's stream and run record before the
+        diff."""
         inner = differential.processor_stream
 
         def perturbed(*args, **kwargs):
-            records, proc = inner(*args, **kwargs)
-            perturb(records, proc)
-            return records, proc
+            records, run = inner(*args, **kwargs)
+            perturb(records, run)
+            return records, run
 
         monkeypatch.setattr(differential, "processor_stream", perturbed)
         fp = build_fuzz_program(0, target_insts=2000)
@@ -115,23 +116,22 @@ class TestDifferential:
 
     def test_dropped_retirement_reports_length(self, monkeypatch):
         div = self._diff_perturbed(
-            monkeypatch, lambda records, proc: records.pop())
+            monkeypatch, lambda records, run: records.pop())
         assert div is not None and div.kind == "length"
         assert "oracle=" in div.detail and "core=" in div.detail
         assert ">>" in div.context   # points at the missing op
 
     def test_unhalted_core_reports_halt(self, monkeypatch):
-        def unhalt(records, proc):
-            proc.halted = False
+        def unhalt(records, run):
+            run.halted = False
 
         div = self._diff_perturbed(monkeypatch, unhalt)
         assert div is not None and div.kind == "halt"
         assert "core halted=False" in div.detail
 
     def test_corrupt_register_reports_final_regs(self, monkeypatch):
-        def corrupt(records, proc):
-            rename = proc.rename
-            rename.prf.value[rename.commit_rat[5]] ^= 1
+        def corrupt(records, run):
+            run.regs[5] ^= 1
 
         div = self._diff_perturbed(monkeypatch, corrupt)
         assert div is not None and div.kind == "final_regs"
@@ -140,8 +140,8 @@ class TestDifferential:
     def test_corrupt_memory_reports_final_mem(self, monkeypatch):
         addr = 0x7F_0000
 
-        def corrupt(records, proc):
-            proc.memory.store(addr, proc.memory.load(addr) ^ 1)
+        def corrupt(records, run):
+            run.memory.store(addr, run.memory.load(addr) ^ 1)
 
         div = self._diff_perturbed(monkeypatch, corrupt)
         assert div is not None and div.kind == "final_mem"
@@ -159,6 +159,7 @@ class TestDifferential:
         report = render_divergence(div, fp, 4000)
         assert "--seed-start 4" in report
         assert "--configs rab" in report
+        assert "--invariants" not in report
         assert "program listing:" in report
 
 
@@ -282,7 +283,7 @@ class TestHarness:
         real_diff_run = harness_mod.diff_run
 
         def fake_diff_run(candidate, config, max_insts, config_name="",
-                          invariants=False):
+                          invariants=False, invariant_every=1):
             if any(b.kind == "alias" for b in candidate.spec.blocks):
                 return Divergence(kind="stream", seed=seed, config=config)
             return None
@@ -296,6 +297,55 @@ class TestHarness:
         assert len(small.spec.blocks) == 1
         assert small.spec.blocks[0].kind == "alias"
         assert small.spec.outer_iterations == 1
+
+    def test_minimize_keeps_campaign_invariant_settings(self, monkeypatch):
+        """A campaign with the checker on every 16th step minimizes with
+        the same settings, so a candidate fails the way the original
+        did, at the campaign's cost."""
+        import repro.verify.harness as harness_mod
+
+        minimizer_calls = []
+
+        def spy(candidate, config, max_insts, config_name="",
+                invariants=False, invariant_every=1, oracle_run=None,
+                runs=None):
+            if runs is not None:   # the campaign's own diff: make it fail
+                return Divergence(kind="invariant", seed=candidate.seed,
+                                  config=config)
+            minimizer_calls.append((invariants, invariant_every))
+            return None
+
+        monkeypatch.setattr(harness_mod, "diff_run", spy)
+        outcome = verify_seed(0, insts=2000, configs=("rab",),
+                              invariants=True, invariant_every=16)
+        assert [d.kind for d in outcome.divergences] == ["invariant"]
+        assert minimizer_calls
+        assert set(minimizer_calls) == {(True, 16)}
+
+    def test_report_replays_with_campaign_invariants(self, monkeypatch,
+                                                     tmp_path):
+        import repro.verify.harness as harness_mod
+        from repro.verify.harness import VerifyOutcome
+
+        fp = build_fuzz_program(0, 2000)
+
+        def fake_verify_seed(seed, **kwargs):
+            outcome = VerifyOutcome(seed=seed, insts=2000, configs=("rab",))
+            outcome.divergences.append(
+                Divergence(kind="invariant", seed=seed, config="rab",
+                           detail="synthetic"))
+            outcome.reproducers.append(fp)
+            return outcome
+
+        monkeypatch.setattr(harness_mod, "verify_seed", fake_verify_seed)
+        summary = run_verify(seeds=1, insts=2000, configs=("rab",),
+                             invariants=True, invariant_every=16,
+                             report_dir=str(tmp_path))
+        [path] = summary["reports"]
+        replay = next(line for line in open(path).read().splitlines()
+                      if line.startswith("replay:"))
+        assert replay.endswith(
+            "--configs rab --invariants --invariant-every 16")
 
     def test_run_verify_writes_reports_on_failure(self, tmp_path):
         import repro.verify.harness as harness_mod
@@ -325,6 +375,126 @@ class TestHarness:
             text = open(path).read()
             assert "DIVERGENCE" in text
             assert "replay:" in text
+
+
+def _count_runs(monkeypatch) -> list:
+    """Record every ``Processor.run`` call (one per simulated trajectory)."""
+    calls = []
+    inner = Processor.run
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(Processor, "run", counted)
+    return calls
+
+
+def _stream_calls(monkeypatch) -> list:
+    """Record each ``processor_stream`` call of a campaign as
+    (config, stream, run record), the way the benchmark reads them."""
+    calls = []
+    inner = differential.processor_stream
+
+    def spy(fp, config, max_insts, *args, **kwargs):
+        records, run = inner(fp, config, max_insts, *args, **kwargs)
+        calls.append((config, records, run))
+        return records, run
+
+    monkeypatch.setattr(differential, "processor_stream", spy)
+    return calls
+
+
+def _raise_from(monkeypatch, method: str, cycle: int, error: type) -> None:
+    """Make ``Processor.<method>`` raise ``error`` from ``cycle`` on."""
+    inner = getattr(Processor, method)
+
+    def raising(self, *args):
+        if self.now >= cycle:
+            raise error(f"injected in {method} at cycle {self.now}")
+        return inner(self, *args)
+
+    monkeypatch.setattr(Processor, method, raising)
+
+
+class TestSharedRuns:
+    """A seed's runahead configs share core runs until their entry
+    decisions differ; each config's result equals its standalone run."""
+
+    @pytest.mark.parametrize("seed, runahead_runs", [(0, 1), (3, 2), (5, 3)])
+    def test_shared_runs_equal_standalone_runs(self, monkeypatch, seed,
+                                               runahead_runs):
+        # At 4k instructions the four runahead configs take one run on
+        # seed 0, two on seed 3 (runahead detaches first) and three on
+        # seed 5 (runahead, rab_cc with hybrid, and rab).
+        runs = _count_runs(monkeypatch)
+        shared = _stream_calls(monkeypatch)
+        assert verify_seed(seed, insts=4000).ok
+        assert len(runs) == 1 + runahead_runs
+        assert [config for config, *_ in shared] == list(DEFAULT_CONFIGS)
+        fp = build_fuzz_program(seed, target_insts=2000)
+        for config, stream, run in shared:
+            alone_stream, alone = processor_stream(fp, config, 4000)
+            assert stream == alone_stream, config
+            assert run.stats.to_dict() == alone.stats.to_dict(), config
+            assert run.halted == alone.halted, config
+            assert run.cycles == alone.cycles, config
+            assert run.regs == alone.regs, config
+            assert run.memory.snapshot() == alone.memory.snapshot(), config
+
+    @pytest.mark.parametrize("invariants", [False, True])
+    def test_one_stream_call_per_config_over_fewer_runs(self, monkeypatch,
+                                                        invariants):
+        runs = _count_runs(monkeypatch)
+        calls = _stream_calls(monkeypatch)
+        checkers = []
+        attach = differential.attach_invariant_checker
+
+        def attach_spy(proc, **kwargs):
+            checkers.append(attach(proc, **kwargs))
+            return checkers[-1]
+
+        monkeypatch.setattr(differential, "attach_invariant_checker",
+                            attach_spy)
+        outcome = verify_seed(5, insts=4000, configs=DEFAULT_CONFIGS,
+                              invariants=invariants)
+        assert outcome.ok
+        assert [config for config, *_ in calls] == list(DEFAULT_CONFIGS)
+        assert [run.stats.config_name for *_, run in calls] == [
+            build_named_config(c).runahead.mode.value
+            for c in DEFAULT_CONFIGS]
+        assert len({id(run.stats) for *_, run in calls}) == 5
+        assert len(runs) == 4   # baseline, then 3 for the runahead four
+        if invariants:
+            assert len(checkers) == 4
+            assert all(c.cycles_checked > 0 for c in checkers)
+        else:
+            assert checkers == []
+
+    @pytest.mark.parametrize("seed, method, cycle, error, failing", [
+        # No runahead entry on seed 0: all four ride one run to the end.
+        (0, "_commit", 1_000, RuntimeError, DEFAULT_CONFIGS),
+        # Seed 3: the buffer configs detach at the first entry decision,
+        # where traditional runahead then enters, and run again clean.
+        (3, "_enter_traditional", 0, RuntimeError, ("runahead",)),
+        # ...and the three of them fail together on their own run.
+        (3, "_enter_rab", 1_700, InvariantError, ("rab", "rab_cc", "hybrid")),
+    ], ids=["all-attached", "detached-run-again", "second-run"])
+    def test_failure_goes_to_the_configs_still_attached(
+            self, monkeypatch, seed, method, cycle, error, failing):
+        _raise_from(monkeypatch, method, cycle, error)
+        kind = "invariant" if error is InvariantError else "exception"
+        expected = {c: kind if c in failing else None
+                    for c in DEFAULT_CONFIGS}
+        fp = build_fuzz_program(seed, target_insts=2000)
+        alone = {c: diff_run(fp, c, 4000, config_name=c)
+                 for c in DEFAULT_CONFIGS}
+        assert {c: d.kind if d else None for c, d in alone.items()} == expected
+        outcome = verify_seed(seed, insts=4000, do_minimize=False)
+        shared = {d.config: d.kind for d in outcome.divergences}
+        assert {c: shared.get(c) for c in DEFAULT_CONFIGS} == expected
+        for div in outcome.divergences:
+            assert f"injected in {method}" in div.detail
 
 
 class TestVerifyCli:
