@@ -33,13 +33,7 @@ from .config import (
 )
 from .core import Processor, SimStats, SimulationResult, simulate
 from .energy import EnergyModel, EnergyReport
-from .multicore import (
-    CoreSpec,
-    MulticoreResult,
-    System,
-    simulate_multicore,
-    trace_multicore,
-)
+from .multicore import CoreSpec, MulticoreResult, System, simulate_multicore
 from .isa import DataMemory, Instruction, Interpreter, Opcode, Program, \
     ProgramBuilder
 from .workloads import (
@@ -84,7 +78,6 @@ __all__ = [
     "medium_high_names",
     "simulate",
     "simulate_multicore",
-    "trace_multicore",
     "workload_names",
     "__version__",
 ]

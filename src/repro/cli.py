@@ -90,21 +90,8 @@ def _known(what: str, names: Sequence[str]) -> Callable[[str], str]:
     return check
 
 
-def _known_list(what: str, names: Sequence[str]) -> Callable[[str], str]:
-    """argparse ``type=`` accepting a comma-separated list of names."""
-    check = _known(what, names)
-
-    def check_list(text: str) -> str:
-        for name in text.split(","):
-            check(name.strip())
-        return text
-    return check_list
-
-
 _workload = _known("workload", workload_names())
-_workload_list = _known_list("workload", workload_names())
 _config = _known("config", tuple(CONFIG_BUILDERS))
-_config_list = _known_list("config", tuple(CONFIG_BUILDERS))
 
 _PLAN_DEFAULTS = SamplingConfig()
 
@@ -150,27 +137,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list workloads and configurations")
 
     run = sub.add_parser("run", help="simulate one workload")
-    run.add_argument("workload", type=_workload_list,
-                     help="workload name; with --cores N, a comma-"
-                          "separated list runs mixed workloads (one per "
-                          "core), a single name runs N copies")
-    run.add_argument("--config", default="baseline", type=_config_list,
-                     help="named config; with --cores N, optionally a "
-                          "comma-separated per-core list")
+    run.add_argument("workload", type=_workload)
+    run.add_argument("--config", default="baseline", type=_config)
     run.add_argument("--instructions", type=_positive_int, default=10_000)
     run.add_argument("--warmup", type=_non_negative_int, default=12_000)
-    run.add_argument("--cores", type=_positive_int, default=1, metavar="N",
-                     help="simulate N cores on a shared memory system "
-                          "(repro.multicore); 1 = the legacy single-core "
-                          "path, bit-identical to previous releases")
-    run.add_argument("--share", default="llc,dram",
-                     help="what multi-core cores share: 'llc,dram' (one "
-                          "LLC + controller) or 'dram' (private LLCs, "
-                          "shared controller); ignored for --cores 1")
-    run.add_argument("--perfetto", default=None, metavar="OUT",
-                     help="with --cores > 1: trace the run and write a "
-                          "Perfetto export with one track group per core "
-                          "plus a shared-memory track")
     _add_tier_args(run)
 
     compare = sub.add_parser("compare",
@@ -206,9 +176,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="attach the per-step invariant checker")
     verify.add_argument("--invariant-every", type=_positive_int, default=1,
                         metavar="N",
-                        help="check invariants every N core steps (a step "
-                             "is one cycle or one jump across an idle "
-                             "stretch)")
+                        help="check invariants every N simulated cycles "
+                             "(at the first step that reaches each multiple "
+                             "of N)")
     verify.add_argument("--configs", nargs="+", default=None,
                         choices=sorted(CONFIG_BUILDERS),
                         help="configs to verify (default: the golden five)")
@@ -286,88 +256,7 @@ def _print_stats(stats, energy) -> None:
           f"(front-end {energy.frontend_dynamic * 1e6:.2f} uJ)")
 
 
-def _cmd_run_multicore(args) -> int:
-    from .multicore import simulate_multicore, trace_multicore
-
-    if args.tier != "detailed":
-        print("error: --cores > 1 supports only the detailed tier "
-              "(sampling assumes a private hierarchy)", file=sys.stderr)
-        return 2
-    workloads = [w.strip() for w in args.workload.split(",") if w.strip()]
-    if len(workloads) == 1:
-        workloads = workloads * args.cores
-    if len(workloads) != args.cores:
-        print(f"error: {len(workloads)} workloads for --cores "
-              f"{args.cores}", file=sys.stderr)
-        return 2
-    config_names = [c.strip() for c in args.config.split(",") if c.strip()]
-    if len(config_names) == 1:
-        config_names = config_names * args.cores
-    if len(config_names) != args.cores:
-        print(f"error: {len(config_names)} configs for --cores "
-              f"{args.cores}", file=sys.stderr)
-        return 2
-
-    traced = {}
-
-    def attach(system) -> None:
-        if args.perfetto is not None:
-            core_traces, shared_trace, tracers = trace_multicore(system)
-            traced.update(core_traces=core_traces,
-                          shared_trace=shared_trace, tracers=tracers)
-
-    result = simulate_multicore(
-        workloads, cores=args.cores, configs=config_names,
-        share=args.share, max_instructions=args.instructions,
-        warmup_instructions=args.warmup, attach=attach)
-
-    for idx, (stats, energy) in enumerate(zip(result.per_core,
-                                              result.energy)):
-        print(f"core {idx}: {workloads[idx]} / {stats.config_name}")
-        _print_stats(stats, energy)
-    shared = result.shared
-    cont = shared["contention"]
-    dram = shared["dram"]
-    print(f"shared [{shared['share']}]:")
-    print(f"  dram                {dram['reads']} reads, "
-          f"{dram['writes']} writes, "
-          f"{dram['bank_conflicts']} bank conflicts")
-    print(f"  llc contention      {cont['cross_core_evictions']} "
-          f"cross-core evictions "
-          f"({cont['prefetch_pollution_evictions']} by prefetch), "
-          f"{cont['pollution_misses']} pollution misses")
-    print(f"  mshr contention     {cont['mshr_contended_rejections']} "
-          f"contended rejections, {cont['spec_cap_rejections']} "
-          f"speculative-cap rejections")
-    for entry in shared["fairness"]:
-        ra = entry["runahead"]
-        print(f"  fairness core{entry['core']}      "
-              f"ipc={entry['ipc']:.3f} "
-              f"share={100 * entry['progress_share']:.1f}% "
-              f"runahead={ra['intervals']}x/{ra['runahead_cycles']}cyc")
-
-    if args.perfetto is not None:
-        from .obs.perfetto import export_perfetto_multicore
-        path = export_perfetto_multicore(
-            traced["core_traces"], traced["shared_trace"], args.perfetto,
-            metadata={"workloads": ",".join(workloads),
-                      "configs": ",".join(config_names),
-                      "share": args.share})
-        print(f"perfetto trace written to {path}")
-    return 0
-
-
 def _cmd_run(args) -> int:
-    if args.cores > 1:
-        return _cmd_run_multicore(args)
-    if "," in args.workload or "," in args.config:
-        print("error: comma-separated workloads/configs require --cores N",
-              file=sys.stderr)
-        return 2
-    if args.perfetto is not None:
-        print("error: --perfetto on `run` requires --cores > 1 "
-              "(single-core tracing is `repro trace`)", file=sys.stderr)
-        return 2
     sampling = _sampling_from_args(args)
     result = simulate(args.workload, build_named_config(args.config),
                       max_instructions=args.instructions,

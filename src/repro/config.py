@@ -355,23 +355,7 @@ def build_named_config(name: str) -> SystemConfig:
 
 # -- multi-core sharing (repro.multicore) ------------------------------------
 
-#: What the cores may share: the LLC/DRAM complex as a whole, or only the
-#: memory controller (private LLCs contending for DRAM bandwidth).
-SHARE_CHOICES = ("llc,dram", "dram")
-
-
-def validate_share(share: str) -> str:
-    """Normalize and validate a ``--share`` spec."""
-    normalized = ",".join(part.strip() for part in share.split(",")
-                          if part.strip())
-    if normalized not in SHARE_CHOICES:
-        raise ValueError(
-            f"unknown share spec {share!r}; choose from {SHARE_CHOICES}")
-    return normalized
-
-
-def assert_shared_geometry(configs: list[SystemConfig],
-                           share: str = "llc,dram") -> None:
+def assert_shared_geometry(configs: list[SystemConfig]) -> None:
     """Mixed-workload cores may differ in core/runahead configuration,
     but everything they *share* must be geometrically identical — one
     LLC array cannot be 1 MB for core 0 and 2 MB for core 1."""
@@ -383,15 +367,11 @@ def assert_shared_geometry(configs: list[SystemConfig],
             raise ValueError(
                 f"core {i} DRAM config differs from core 0; shared "
                 f"memory requires identical DRAM geometry")
-        if "llc" in share:
-            if cfg.llc != first.llc:
-                raise ValueError(
-                    f"core {i} LLC config differs from core 0; a shared "
-                    f"LLC requires identical LLC geometry")
-            if cfg.prefetcher != first.prefetcher:
-                raise ValueError(
-                    f"core {i} prefetcher config differs from core 0; "
-                    f"the prefetcher lives in the shared LLC")
-        if cfg.llc.line_bytes != first.llc.line_bytes:
+        if cfg.llc != first.llc:
             raise ValueError(
-                f"core {i} line size differs from core 0")
+                f"core {i} LLC config differs from core 0; a shared "
+                f"LLC requires identical LLC geometry")
+        if cfg.prefetcher != first.prefetcher:
+            raise ValueError(
+                f"core {i} prefetcher config differs from core 0; "
+                f"the prefetcher lives in the shared LLC")

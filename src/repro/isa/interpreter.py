@@ -57,13 +57,6 @@ class Interpreter:
         self.halted = False
         self.retired = 0
 
-    def read_reg(self, index: int) -> int:
-        return 0 if index == 0 else self.regs[index]
-
-    def write_reg(self, index: Optional[int], value: int) -> None:
-        if index is not None and index != 0:
-            self.regs[index] = value
-
     def step(self) -> RetiredOp:
         """Execute one instruction and return what happened."""
         if self.halted:

@@ -61,9 +61,9 @@ class MemoryHierarchy:
 
     @property
     def is_shared(self) -> bool:
-        """True when the LLC/DRAM complex is shared with other cores (or
-        externally owned), i.e. this hierarchy is not the sole owner of
-        the memory state below its L1s."""
+        """True when the LLC/DRAM complex is shared with other cores,
+        i.e. this hierarchy is not the sole owner of the memory state
+        below its L1s."""
         return self.shared.is_shared
 
     # -- per-core counters living in the complex's CoreAccount -------------------

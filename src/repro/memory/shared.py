@@ -26,17 +26,13 @@ are about:
   (runahead/prefetch) occupancy so one core's runahead flood cannot
   starve its neighbours — the fairness mechanism tests/test_multicore.py
   pins down.
-
-``mc_hook`` (``None`` by default, so the single-core path never pays
-for it) receives ``mc.*`` observability events:
-``mc.cross_evict`` and ``mc.mshr_reject``.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from ..config import SystemConfig
 from ..prefetch import StreamPrefetcher
@@ -146,13 +142,10 @@ class SharedLLC:
     #: consulted on later misses to count pollution misses.
     _VICTIM_WINDOW = 8192
 
-    def __init__(self, config: SystemConfig,
-                 controller: Optional[MemoryController] = None) -> None:
+    def __init__(self, config: SystemConfig) -> None:
         self.config = config
         self.llc = Cache(config.llc)
-        self._external_controller = controller is not None
-        self.controller = (controller if controller is not None
-                           else MemoryController(config.dram))
+        self.controller = MemoryController(config.dram)
         self.prefetcher: Optional[StreamPrefetcher] = (
             StreamPrefetcher(config.prefetcher)
             if config.prefetcher.enabled
@@ -166,12 +159,9 @@ class SharedLLC:
         self._accounts: list[CoreAccount] = []
         self._l1_pairs: list[tuple[Cache, Cache]] = []
         self._hiers: list = []
-        self._mc = False            # True once a second core connects
-        # Per-core accounting is maintained whenever this complex is not
-        # the legacy private construction: multiple cores, or a
-        # dram-only share where each core has its own complex but the
-        # controller (and its stats) is external and shared.
-        self._track = self._external_controller
+        # True once a second core connects: per-core accounting and the
+        # multi-core-only state below are maintained from then on.
+        self._mc = False
         # Multi-core-only state (untouched on the single-core path).
         self.stats = SharedStats()
         self._core_fills: list[list[int]] = []   # per-core, all kinds
@@ -180,22 +170,14 @@ class SharedLLC:
         self._victims: "OrderedDict[int, int]" = OrderedDict()
         self._active_core = 0
         self._active_kind = "demand"
-        self._active_cycle = 0
-        #: Observability hook: ``hook(kind, cycle, **payload)`` for
-        #: ``mc.*`` events.  ``None`` keeps every emission site dead.
-        self.mc_hook: Optional[Callable] = None
 
     # -- wiring --------------------------------------------------------------
-
-    @property
-    def num_cores(self) -> int:
-        return len(self._accounts)
 
     @property
     def is_shared(self) -> bool:
         """True when sole-ownership assumptions (snapshots,
         invariant sweeps) no longer hold for any single connected core."""
-        return self._mc or self._external_controller
+        return self._mc
 
     def connect(self, hierarchy) -> tuple[int, CoreAccount]:
         """Attach one per-core hierarchy; returns (core_id, account).
@@ -212,8 +194,6 @@ class SharedLLC:
         self._core_fills.append([])
         self._spec_fills.append([])
         self._mc = core > 0
-        if self._mc:
-            self._track = True
         return core, acct
 
     # -- inclusion / interference hook ---------------------------------------
@@ -230,12 +210,10 @@ class SharedLLC:
         if (self.prefetcher is not None and line.prefetched
                 and not line.referenced):
             self.prefetcher.record_unused_eviction()
-        if self._track:
+        if self._mc:
             evictor = self._active_core
             if line.dirty:
                 self._accounts[evictor].dram_writes += 1
-            if not self._mc:
-                return
             owner = self._line_owner.pop(line_addr, -1)
             if owner >= 0 and owner != evictor:
                 st = self.stats
@@ -247,11 +225,6 @@ class SharedLLC:
                 victims[line_addr] = owner
                 if len(victims) > self._VICTIM_WINDOW:
                     victims.popitem(last=False)
-                hook = self.mc_hook
-                if hook is not None:
-                    hook("mc.cross_evict", self._active_cycle,
-                         line=line_addr, evictor_core=evictor,
-                         owner_core=owner, kind=self._active_kind)
 
     def _fdp_demand_touch(self, line, now: int) -> None:
         if (self.prefetcher is not None and line.prefetched
@@ -287,7 +260,6 @@ class SharedLLC:
                 quota = max(1, limit // cores)
                 if len(spec) >= quota:
                     self.stats.spec_cap_rejections += 1
-                    self._reject_event(now, kind, core, contended=True)
                     return spec[0] if spec else now + 1
             if len(fills) >= limit:
                 own = self._core_fills[core]
@@ -296,9 +268,6 @@ class SharedLLC:
                 if len(own) < max(1, self._mshr_limit // cores):
                     self._accounts[core].mshr_contended += 1
                     self.stats.mshr_contended_rejections += 1
-                    self._reject_event(now, kind, core, contended=True)
-                else:
-                    self._reject_event(now, kind, core, contended=False)
                 return fills[0] if fills else now + 1
             return 0
         if len(fills) < limit:
@@ -313,13 +282,6 @@ class SharedLLC:
         # may retry while still over the limit and be bounced again; each
         # bounce moves it forward, so progress is guaranteed.
         return fills[0]
-
-    def _reject_event(self, now: int, kind: str, core: int,
-                      contended: bool) -> None:
-        hook = self.mc_hook
-        if hook is not None:
-            hook("mc.mshr_reject", now, core=core, kind=kind,
-                 contended=contended)
 
     def _register_fill(self, done: int, core: int = 0,
                        speculative: bool = False) -> None:
@@ -355,10 +317,9 @@ class SharedLLC:
         if kind == "ifetch":
             return self._serve_ifetch(line_addr, cycle, core)
         acct = self._accounts[core]
-        if self._track:
+        if self._mc:
             self._active_core = core
             self._active_kind = kind
-            self._active_cycle = cycle
         llc_latency = self.llc.latency
         acct.llc_accesses[kind] = acct.llc_accesses.get(kind, 0) + 1
         line = self.llc.lookup(line_addr)
@@ -368,7 +329,7 @@ class SharedLLC:
                 self.llc.stats.hits += 1
                 done = cycle + llc_latency
                 level, merged = "LLC", False
-                if self._track:
+                if self._mc:
                     acct.accesses += 1
                     acct.hits += 1
             else:
@@ -377,7 +338,7 @@ class SharedLLC:
                 # Merged with an outstanding DRAM fill: the data still
                 # comes from DRAM, which matters for runahead entry.
                 level, merged = "DRAM", True
-                if self._track:
+                if self._mc:
                     acct.accesses += 1
                     acct.fill_hits += 1
         else:
@@ -389,12 +350,11 @@ class SharedLLC:
                                 speculative=kind in ("runahead", "prefetch"))
             self.llc.fill(line_addr, done)
             level, merged = "DRAM", False
-            if self._track:
+            if self._mc:
                 acct.accesses += 1
                 acct.misses += 1
                 acct.dram_reads += 1
                 acct.dram_by_kind[kind] = acct.dram_by_kind.get(kind, 0) + 1
-            if self._mc:
                 self._line_owner[line_addr] = core
                 owner = self._victims.pop(line_addr, None)
                 if owner == core:
@@ -414,21 +374,20 @@ class SharedLLC:
         """LLC side of an instruction fetch: no MSHR allocation, no
         prefetcher training — exactly the legacy ifetch arithmetic."""
         acct = self._accounts[core]
-        if self._track:
+        if self._mc:
             self._active_core = core
             self._active_kind = "ifetch"
-            self._active_cycle = t
         llc_line = self.llc.lookup(line_addr)
         if llc_line is not None and llc_line.ready_cycle <= t:
             self.llc.stats.hits += 1
             done = t + self.llc.latency
-            if self._track:
+            if self._mc:
                 acct.accesses += 1
                 acct.hits += 1
         elif llc_line is not None:
             self.llc.stats.fill_hits += 1
             done = llc_line.ready_cycle
-            if self._track:
+            if self._mc:
                 acct.accesses += 1
                 acct.fill_hits += 1
         else:
@@ -437,13 +396,12 @@ class SharedLLC:
             done = self.controller.request(line_addr, t + self.llc.latency,
                                            kind="ifetch")
             self.llc.fill(line_addr, done)
-            if self._track:
+            if self._mc:
                 acct.accesses += 1
                 acct.misses += 1
                 acct.dram_reads += 1
                 acct.dram_by_kind["ifetch"] = (
                     acct.dram_by_kind.get("ifetch", 0) + 1)
-            if self._mc:
                 self._line_owner[line_addr] = core
         return AccessResult(done, "DRAM" if llc_line is None else "LLC")
 
@@ -458,10 +416,9 @@ class SharedLLC:
                 continue  # MSHRs full: drop the prefetch
             done = self.controller.request(line_addr, now, kind="prefetch")
             self._register_fill(done, core, speculative=True)
-            if self._track:
+            if self._mc:
                 self._active_core = core
                 self._active_kind = "prefetch"
-                self._active_cycle = now
                 acct = self._accounts[core]
                 acct.prefetches_issued += 1
                 acct.dram_reads += 1
@@ -493,14 +450,6 @@ class SharedLLC:
         """Shared-level interference summary (multicore reporting)."""
         d = self.controller.stats
         return {
-            "llc": {
-                "accesses": self.llc.stats.accesses,
-                "hits": self.llc.stats.hits,
-                "fill_hits": self.llc.stats.fill_hits,
-                "misses": self.llc.stats.misses,
-                "evictions": self.llc.stats.evictions,
-                "writebacks": self.llc.stats.writebacks,
-            },
             "dram": {
                 "reads": d.reads,
                 "writes": d.writes,
@@ -510,6 +459,14 @@ class SharedLLC:
                 "activates": d.activates,
                 "busiest_wait": d.busiest_wait,
                 "by_kind": dict(d.by_kind),
+            },
+            "llc": {
+                "accesses": self.llc.stats.accesses,
+                "hits": self.llc.stats.hits,
+                "fill_hits": self.llc.stats.fill_hits,
+                "misses": self.llc.stats.misses,
+                "evictions": self.llc.stats.evictions,
+                "writebacks": self.llc.stats.writebacks,
             },
             "contention": self.stats.to_dict(),
             "per_core": [acct.to_dict() for acct in self._accounts],

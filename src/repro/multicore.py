@@ -1,22 +1,19 @@
-"""Multi-core simulation: N cores contending on a shared LLC/DRAM.
+"""Multi-core simulation: N cores contending on one shared LLC/DRAM.
 
-The paper evaluates the runahead buffer per-core; this module scales the
-*modeled* system following Hashemi's dissertation direction — multiple
+The paper evaluates the runahead buffer on one core; this module runs N
 out-of-order cores (each with private L1s and its own runahead
 machinery) whose hierarchies call one
-:class:`~repro.memory.shared.SharedLLC` complex.  Two share levels:
-
-* ``"llc,dram"`` — one LLC array, one MSHR pool, one prefetcher, one
-  memory controller.  The full contention story: cross-core evictions,
-  inter-core prefetch pollution, MSHR fairness.
-* ``"dram"`` — private LLCs, shared memory controller: cores contend
-  only for DRAM banks/bandwidth.
+:class:`~repro.memory.shared.SharedLLC` complex: one LLC array, one MSHR
+pool, one prefetcher and one memory controller.  That gives the full
+contention story: cross-core evictions, inter-core prefetch pollution,
+MSHR fairness.  Outside the tests its one caller is the benchmark's
+``multicore`` workload.
 
 Scheduling is a min-heap over ``(core.now, core_index)``: the globally
 earliest core steps one cycle (which may bulk-skip far ahead), then
 re-enters the heap.  Each core's event arithmetic is untouched, ties
 break by core index, and no randomness exists anywhere — so a given
-(workload list, config list, share level) is deterministic, which
+(workload list, config list) is deterministic, which
 ``System.fingerprints`` pins and tests/test_multicore.py gates.
 
 Entry point::
@@ -30,19 +27,22 @@ Entry point::
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .config import (SystemConfig, assert_shared_geometry,
-                     build_named_config, default_system, validate_share)
+                     build_named_config, default_system)
 from .core.processor import Processor, _WATCHDOG_CYCLES
 from .core.sim import _resolve_workload
 from .core.stats import SimStats
 from .energy import EnergyModel, EnergyReport
-from .memory import MemoryController, MemoryHierarchy, SharedLLC
+from .memory import MemoryHierarchy, SharedLLC
 
-__all__ = ["CoreSpec", "MulticoreResult", "System", "simulate_multicore",
-           "trace_multicore"]
+__all__ = ["CoreSpec", "MulticoreResult", "System", "simulate_multicore"]
+
+#: What the cores share: everything below the L1s.
+SHARE = "llc,dram"
 
 
 @dataclass
@@ -73,39 +73,21 @@ class MulticoreResult:
 class System:
     """N cores, one bulk-skipping global clock, shared memory below L1."""
 
-    def __init__(self, specs: Sequence[CoreSpec],
-                 share: str = "llc,dram") -> None:
+    def __init__(self, specs: Sequence[CoreSpec]) -> None:
         if not specs:
             raise ValueError("at least one core required")
-        self.share = validate_share(share)
-        configs = []
-        for spec in specs:
-            cfg = spec.config if spec.config is not None else default_system()
-            configs.append(cfg)
-        assert_shared_geometry(configs, self.share)
+        configs = [spec.config if spec.config is not None
+                   else default_system() for spec in specs]
+        assert_shared_geometry(configs)
         self.specs = list(specs)
-
-        if "llc" in self.share:
-            # One complex for everything below the L1s.
-            self.shared = SharedLLC(configs[0])
-            self.controller = self.shared.controller
-            complexes = [self.shared] * len(specs)
-        else:
-            # Private LLCs, shared memory controller.
-            self.controller = MemoryController(configs[0].dram)
-            complexes = [SharedLLC(cfg, controller=self.controller)
-                         for cfg in configs]
-            self.shared = None
-        self._complexes = complexes
-
+        self.shared = SharedLLC(configs[0])
         self.cores: list[Processor] = []
-        for spec, cfg, cplx in zip(specs, configs, complexes):
+        for spec, cfg in zip(specs, configs):
             program, memory, init_regs = _resolve_workload(spec.workload)
-            hierarchy = MemoryHierarchy(cfg, shared=cplx)
+            hierarchy = MemoryHierarchy(cfg, shared=self.shared)
             proc = Processor(program, cfg, memory=memory,
                              init_regs=init_regs, hierarchy=hierarchy)
             self.cores.append(proc)
-        self.num_cores = len(self.cores)
 
     # -- phases ------------------------------------------------------------------
 
@@ -117,14 +99,13 @@ class System:
         Warm-up evictions are attributed to the warming core, then the
         interference counters are reset: warm-order artifacts are not
         contention.  Line ownership survives into the timed run."""
+        shared = self.shared
         executed = []
-        for idx, core in enumerate(self.cores):
-            cplx = self._complexes[idx]
-            cplx._active_core = core.core_id
-            cplx._active_kind = "warm"
+        for core in self.cores:
+            shared._active_core = core.core_id
+            shared._active_kind = "warm"
             executed.append(core.warm_up(instructions))
-        for cplx in dict.fromkeys(self._complexes):
-            cplx.reset_interference()
+        shared.reset_interference()
         return executed
 
     def run(self, max_instructions: int,
@@ -137,7 +118,6 @@ class System:
         behaviour (a finished program stops issuing memory traffic), and
         it is deterministic.
         """
-        import heapq
         targets = [core.committed + max_instructions for core in self.cores]
         for core in self.cores:
             core.set_cycle_cap(max_cycles)
@@ -145,13 +125,8 @@ class System:
                 if not core.halted and core.committed < targets[idx]]
         heapq.heapify(heap)
         while heap:
-            now, idx = heapq.heappop(heap)
+            _now, idx = heapq.heappop(heap)
             core = self.cores[idx]
-            if core.now != now:
-                # Stale entry (never happens with one entry per core,
-                # but cheap to guard).
-                heapq.heappush(heap, (core.now, idx))
-                continue
             core._step()
             if core.now - core._last_progress > _WATCHDOG_CYCLES:
                 raise RuntimeError(
@@ -175,34 +150,8 @@ class System:
     def shared_stats(self) -> dict:
         """Shared-level view: LLC totals, DRAM bank behaviour, the
         interference counters, and per-core fairness profiles."""
-        d = self.controller.stats
-        doc: dict = {
-            "share": self.share,
-            "cores": self.num_cores,
-            "dram": {
-                "reads": d.reads,
-                "writes": d.writes,
-                "row_hits": d.row_hits,
-                "row_misses": d.row_misses,
-                "bank_conflicts": d.row_conflicts,
-                "activates": d.activates,
-                "busiest_wait": d.busiest_wait,
-                "by_kind": dict(d.by_kind),
-            },
-        }
-        if self.shared is not None:
-            doc.update(self.shared.contention_dict())
-            doc["dram"]["by_kind"] = dict(d.by_kind)
-        else:
-            doc["contention"] = {
-                "cross_core_evictions": 0,
-                "prefetch_pollution_evictions": 0,
-                "pollution_misses": 0,
-                "mshr_contended_rejections": 0,
-                "spec_cap_rejections": 0,
-            }
-            doc["per_core"] = [
-                cplx._accounts[0].to_dict() for cplx in self._complexes]
+        doc: dict = {"share": SHARE, "cores": len(self.cores),
+                     **self.shared.contention_dict()}
         total_committed = sum(c.committed for c in self.cores) or 1
         doc["fairness"] = [
             {
@@ -235,7 +184,7 @@ def simulate_multicore(
     *,
     cores: Optional[int] = None,
     configs: Optional[Sequence[Union[str, SystemConfig]]] = None,
-    share: str = "llc,dram",
+    share: str = SHARE,
     max_instructions: int = 20_000,
     warmup_instructions: int = 12_000,
     max_cycles: Optional[int] = None,
@@ -249,9 +198,12 @@ def simulate_multicore(
     ``configs`` likewise: per-core named configs or SystemConfig
     instances; a single ``config`` replicates (deep-copied per core —
     core-private config state must not alias).  ``attach`` is called
-    with the built System after warm-up, before the timed run (the
-    multicore tracing seam).
+    with the built System after warm-up, before the timed run.
+    ``share`` must be ``"llc,dram"``, the one share level.
     """
+    if share != SHARE:
+        raise ValueError(f"unknown share spec {share!r}; the cores share "
+                         f"{SHARE!r}")
     if isinstance(workloads, (str,)) or not isinstance(workloads, Sequence):
         n = cores if cores is not None else 1
         workload_list = [workloads] * n
@@ -285,7 +237,7 @@ def simulate_multicore(
 
     specs = [CoreSpec(w, cfg, name)
              for w, cfg, name in zip(workload_list, cfg_list, names)]
-    system = System(specs, share=share)
+    system = System(specs)
     if warmup_instructions > 0:
         system.warm_up(warmup_instructions)
     if attach is not None:
@@ -300,41 +252,3 @@ def simulate_multicore(
         energy.append(report)
     return MulticoreResult(per_core=per_core, energy=energy,
                            shared=system.shared_stats(), system=system)
-
-
-def trace_multicore(system: System, kinds: Optional[tuple] = None):
-    """Attach per-core tracers plus shared-level ``mc.*`` events.
-
-    Returns ``(core_traces, shared_trace, tracers)``.  Per-core tracers
-    deliberately exclude the ``dram`` kind: with a shared controller,
-    N tracers would each re-shadow ``controller.request`` and emit N
-    duplicate events.  The single shared trace gets one dram shadow and
-    the complex's ``mc.*`` interference events instead.
-    """
-    from .obs import Tracer
-
-    core_kinds = kinds if kinds is not None else (
-        "fetch_redirect", "runahead_enter", "runahead_exit",
-        "chain_extract", "chain_cache", "prefetch_issue")
-    if "dram" in core_kinds:
-        raise ValueError(
-            "per-core multicore tracers may not include 'dram' — the "
-            "shared trace owns the controller shadow")
-    core_traces = []
-    tracers = []
-    for core in system.cores:
-        tracer = Tracer(kinds=core_kinds)
-        tracer.attach(core)
-        core_traces.append(tracer.trace)
-        tracers.append(tracer)
-
-    # One dram shadow on the shared controller (attached through core 0;
-    # the controller object is the same for every core) plus the
-    # complex's mc.* interference events.
-    shared_tracer = Tracer(kinds=("dram",))
-    shared_tracer.attach(system.cores[0])
-    shared_trace = shared_tracer.trace
-    tracers.append(shared_tracer)
-    for cplx in dict.fromkeys(system._complexes):
-        cplx.mc_hook = shared_trace.emit
-    return core_traces, shared_trace, tracers

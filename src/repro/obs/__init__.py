@@ -23,8 +23,7 @@ from typing import Iterable, Optional
 from .events import EVENT_KINDS, EVENT_SCHEMAS, EventTrace, TraceEvent, \
     validate_event
 from .metrics import Metric, MetricsRegistry, default_registry
-from .perfetto import (export_perfetto, export_perfetto_multicore,
-                       write_perfetto)
+from .perfetto import export_perfetto, write_perfetto
 from .sampler import OccupancySample, OccupancySampler
 from .tracer import Tracer
 
@@ -41,7 +40,6 @@ __all__ = [
     "Tracer",
     "default_registry",
     "export_perfetto",
-    "export_perfetto_multicore",
     "run_traced",
     "validate_event",
     "write_perfetto",

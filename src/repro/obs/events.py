@@ -88,20 +88,6 @@ EVENT_SCHEMAS: dict[str, dict[str, tuple[type, ...]]] = {
         "length": (int,),           # instructions covered by the region
         "loop": (bool,),            # region closes a back edge
     },
-    # Multi-core shared-memory interference (repro.multicore): emitted by
-    # the SharedLLC complex via its mc_hook, onto the shared trace.
-    "mc.cross_evict": {
-        "line": (int,),             # evicted line address
-        "evictor_core": (int,),     # core whose fill caused the eviction
-        "owner_core": (int,),       # core that had inserted the line
-        "kind": (str,),             # request kind of the evicting fill
-    },
-    "mc.mshr_reject": {
-        "core": (int,),             # rejected core
-        "kind": (str,),             # rejected request kind
-        "contended": (bool,),       # True: other cores held the pool /
-                                    # the per-core speculative cap hit
-    },
 }
 
 EVENT_KINDS: tuple[str, ...] = tuple(sorted(EVENT_SCHEMAS))

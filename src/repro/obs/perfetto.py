@@ -33,19 +33,13 @@ PID = 1
 TID_FRONTEND = 1
 TID_RUNAHEAD = 2
 TID_PREFETCH = 3
-TID_SHARED = 4              # mc.* interference events (multicore export)
 _TID_DRAM_BASE = 10
 _DRAM_CHANNEL_STRIDE = 64   # banks per channel never approaches this
-
-#: Process id of the shared-memory track group in a multicore export
-#: (cores are pids 1..N).
-_PID_SHARED = 1000
 
 _THREAD_NAMES = {
     TID_FRONTEND: "front-end",
     TID_RUNAHEAD: "runahead",
     TID_PREFETCH: "prefetcher",
-    TID_SHARED: "interference",
 }
 
 
@@ -100,14 +94,6 @@ def _convert(event: TraceEvent) -> Optional[dict[str, Any]]:
         # Translation costs host time, not simulated cycles, so it
         # renders as an instant at the gap's cycle position.
         return _instant(TID_FRONTEND, "ff_translate", cycle, data)
-    if kind == "mc.cross_evict":
-        name = ("pollution_evict" if data["kind"] == "prefetch"
-                else "cross_evict")
-        return _instant(TID_SHARED, name, cycle, data)
-    if kind == "mc.mshr_reject":
-        name = ("mshr_reject_contended" if data["contended"]
-                else "mshr_reject")
-        return _instant(TID_SHARED, name, cycle, data)
     return None  # unknown kinds are skipped, not fatal
 
 
@@ -171,59 +157,5 @@ def write_perfetto(
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     doc = export_perfetto(trace, samples, metadata)
-    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    return out
-
-
-def export_perfetto_multicore(
-    core_traces: list[EventTrace],
-    shared_trace: EventTrace,
-    path: str | Path,
-    metadata: Optional[dict[str, Any]] = None,
-) -> Path:
-    """Multi-core trace-event export: one process group per core
-    (``core0`` … ``coreN``, pids 1..N, each with the usual per-core
-    thread tracks) plus a ``shared-memory`` process carrying the DRAM
-    bank tracks and the ``mc.*`` interference instants.  Written to
-    ``path``; returns it.
-    """
-    events: list[dict[str, Any]] = []
-    body: list[dict[str, Any]] = []
-
-    def add_trace(trace: EventTrace, pid: int, process: str) -> None:
-        events.append({**_meta("process_name", {"name": process}),
-                       "pid": pid})
-        used_tids: set[int] = set()
-        for event in trace:
-            validate_event(event)
-            converted = _convert(event)
-            if converted is not None:
-                converted["pid"] = pid
-                body.append(converted)
-                used_tids.add(converted["tid"])
-        for tid in sorted(used_tids):
-            name = _THREAD_NAMES.get(tid)
-            if name is None:
-                channel, bank = divmod(tid - _TID_DRAM_BASE,
-                                       _DRAM_CHANNEL_STRIDE)
-                name = f"dram c{channel}b{bank}"
-            events.append({**_meta("thread_name", {"name": name}, tid=tid),
-                           "pid": pid})
-
-    for core, trace in enumerate(core_traces):
-        add_trace(trace, core + 1, f"core{core}")
-    add_trace(shared_trace, _PID_SHARED, "shared-memory")
-    events.extend(body)
-
-    doc: dict[str, Any] = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"tool": "repro.obs",
-                      "clock": "1 trace us = 1 core cycle"},
-    }
-    if metadata:
-        doc["otherData"].update(metadata)
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return out

@@ -3,11 +3,12 @@
 The checker attaches to a :class:`~repro.core.Processor` through
 ``Processor.set_cycle_hook`` — a debug shadow of ``_step`` that exists
 only on instances with a hook installed, so the production hot loop is
-untouched when checking is off.  After every step of the core it
-validates the structural invariants whose violation would otherwise
-corrupt results *silently*.  A step is one stepped cycle or one jump
-across an idle stretch (the core's state is constant over the cycles
-jumped), so the checks see every state the core passes through:
+untouched when checking is off.  By default, after every step of the
+core it validates the structural invariants whose violation would
+otherwise corrupt results *silently*.  A step is one stepped cycle or
+one jump across an idle stretch (the core's state is constant over the
+cycles jumped), so the checks see every state the core passes through
+(a sparser schedule is by simulated cycle; see :class:`InvariantChecker`):
 
 * **ROB order** — sequence numbers strictly increase head to tail, and
   no squashed uop lingers in the window;
@@ -38,11 +39,15 @@ class InvariantError(AssertionError):
 
 
 class InvariantChecker:
-    """Validates core invariants after each step (or every ``every``-th).
+    """Validates core invariants after each step, or every ``every``
+    simulated cycles.
 
-    ``every`` and ``cycles_checked`` count steps of ``Processor._step``,
-    not simulated cycles: one step may jump an idle stretch of many
-    cycles."""
+    The schedule is by simulated cycle, not by step: a step that reaches
+    the next multiple of ``every`` is checked, and so is the step that
+    halts the core.  Two runs of one trajectory therefore check the same
+    states although one may take extra steps (a shared run also wakes at
+    its other members' buffer start cycles).  With ``every=1`` every
+    step is checked.  ``cycles_checked`` counts the checks."""
 
     def __init__(self, processor: Processor, every: int = 1) -> None:
         if every < 1:
@@ -50,14 +55,14 @@ class InvariantChecker:
         self.proc = processor
         self.every = every
         self.cycles_checked = 0
-        self._countdown = 0
+        self._due = 0
 
     # -- hook ----------------------------------------------------------------
 
     def on_cycle(self, proc: Processor) -> None:
-        self._countdown -= 1
-        if self._countdown <= 0:
-            self._countdown = self.every
+        now = proc.now
+        if now >= self._due or proc.halted:
+            self._due = now - now % self.every + self.every
             self.check_now()
 
     def _fail(self, message: str) -> None:

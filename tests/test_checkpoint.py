@@ -80,22 +80,12 @@ class TestSharedHierarchyRejection:
     controller), so a per-core snapshot would silently capture other
     cores' state.  It must refuse loudly instead."""
 
-    def _shared_core(self, share: str = "llc,dram"):
-        from repro.multicore import CoreSpec, System
-        system = System([CoreSpec("mcf"), CoreSpec("lbm")], share=share)
-        return system.cores[0]
-
     def test_snapshot_raises(self):
         from repro.memory import SharedHierarchyError
+        from repro.multicore import CoreSpec, System
+        system = System([CoreSpec("mcf"), CoreSpec("lbm")])
         with pytest.raises(SharedHierarchyError):
-            self._shared_core().snapshot()
-
-    def test_dram_only_share_is_rejected_too(self):
-        # Private LLCs don't help: the DRAM controller (row-buffer and
-        # queue state) is still cross-core.
-        from repro.memory import SharedHierarchyError
-        with pytest.raises(SharedHierarchyError):
-            self._shared_core("dram").snapshot()
+            system.cores[0].snapshot()
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ from functools import partialmethod
 import pytest
 
 from repro import simulate, simulate_multicore
-from repro.config import (assert_shared_geometry, build_named_config,
-                          validate_share)
+from repro.config import assert_shared_geometry, build_named_config
 from repro.core.processor import Processor
 from repro.multicore import CoreSpec, System
 
@@ -36,9 +35,9 @@ def _small_llc_config(name: str, size_bytes: int = 16 * 1024):
     return config
 
 
-def _run(workloads, configs, share="llc,dram", **kwargs):
+def _run(workloads, configs, **kwargs):
     return simulate_multicore(workloads, cores=len(workloads),
-                              configs=configs, share=share,
+                              configs=configs,
                               max_instructions=INSTS,
                               warmup_instructions=WARMUP, **kwargs)
 
@@ -59,7 +58,7 @@ def test_determinism_reruns_are_byte_identical():
 def test_max_cycles_caps_every_core_clock():
     """System.run bounds each core's idle jumps by its cycle cap, a
     jump stored before the run starts included."""
-    system = System([CoreSpec("mcf"), CoreSpec("lbm")], share="llc,dram")
+    system = System([CoreSpec("mcf"), CoreSpec("lbm")])
     system.warm_up(WARMUP)
     system.run(500)
     cap = max(core.now for core in system.cores) + 50
@@ -122,16 +121,6 @@ def test_mshr_contention_is_reported():
     assert contention["spec_cap_rejections"] >= 0
 
 
-def test_dram_only_share_splits_traffic_per_core():
-    result = _run(["mcf", "lbm"], ["rab_cc", "rab_cc"], share="dram")
-    # Private LLCs: no cross-core eviction pressure by construction.
-    assert result.shared["contention"]["cross_core_evictions"] == 0
-    per_core = result.shared["per_core"]
-    assert sum(acct["dram_reads"] for acct in per_core) == \
-        result.shared["dram"]["reads"]
-    assert all(acct["dram_reads"] > 0 for acct in per_core)
-
-
 # -- warm-up lanes -----------------------------------------------------------
 
 
@@ -184,22 +173,24 @@ def test_runahead_core_does_not_starve_corunner():
 # -- construction guards -----------------------------------------------------
 
 
-def test_share_level_is_validated():
-    with pytest.raises(ValueError):
-        validate_share("llc")
-    assert validate_share(" llc , dram ") == "llc,dram"
-
-
 def test_llc_share_requires_matching_geometry():
     big = build_named_config("rab_cc")
     small = _small_llc_config("rab_cc")
     with pytest.raises(ValueError):
-        assert_shared_geometry([big, small], "llc,dram")
-    # Private LLCs may differ; DRAM must still match.
-    assert_shared_geometry([big, small], "dram")
+        assert_shared_geometry([big, small])
     with pytest.raises(ValueError):
-        System([CoreSpec("mcf", big), CoreSpec("lbm", small)],
-               share="llc,dram")
+        System([CoreSpec("mcf", big), CoreSpec("lbm", small)])
+
+
+@pytest.mark.parametrize("share", ["dram", "llc"])
+def test_only_the_llc_dram_share_level_is_accepted(share):
+    """The cores share one LLC, MSHR pool, prefetcher and controller;
+    any other share spec is an input error, not a knob."""
+    with pytest.raises(ValueError, match="share"):
+        simulate_multicore(["mcf", "lbm"], cores=2,
+                           configs=["rab_cc"] * 2, share=share,
+                           max_instructions=INSTS,
+                           warmup_instructions=WARMUP)
 
 
 def test_workload_count_must_match_cores():

@@ -31,6 +31,7 @@ from repro.verify import (
 from repro.verify import differential
 from repro.verify.differential import diff_streams
 from repro.verify.harness import minimize
+from repro.verify.invariants import InvariantChecker
 
 
 class TestFuzzGenerator:
@@ -220,6 +221,23 @@ class TestInvariantChecker:
         with pytest.raises(InvariantError, match="inverted"):
             checker.check_now()
 
+    def test_every_step_is_checked_by_default(self):
+        """With ``every=1`` each step is checked, the one that halts the
+        core included, although its clock does not advance."""
+        proc = self._proc()
+        checker = attach_invariant_checker(proc)
+        step = proc._step
+        steps = []
+
+        def counted():
+            steps.append(proc.now)
+            step()
+
+        proc._step = counted
+        proc.run(10_000)
+        assert proc.halted
+        assert checker.cycles_checked == len(steps)
+
     def test_every_n_skips_cycles(self):
         proc = self._proc()
         checker = attach_invariant_checker(proc, every=50)
@@ -232,8 +250,7 @@ class TestInvariantChecker:
         co-runners mutate LLC/MSHR state between the checked core's
         cycles — attaching must be an explicit, scoped decision."""
         from repro.multicore import CoreSpec, System
-        system = System([CoreSpec("mcf"), CoreSpec("lbm")],
-                        share="llc,dram")
+        system = System([CoreSpec("mcf"), CoreSpec("lbm")])
         with pytest.raises(ValueError, match="shared"):
             attach_invariant_checker(system.cores[0])
         # Explicit opt-in scopes the verdict to core-local structures.
@@ -470,6 +487,50 @@ class TestSharedRuns:
             assert all(c.cycles_checked > 0 for c in checkers)
         else:
             assert checkers == []
+
+    def test_invariant_checks_equal_standalone_runs(self, monkeypatch):
+        """With ``--invariant-every N`` a config riding a shared run is
+        checked in the states its standalone run checks, so an
+        ``invariant`` divergence reproduces in the minimizer and the
+        replay line, which run the config alone.  On seed 19 at 20k,
+        rab_cc and hybrid ride rab's run, whose clock also wakes at rab's
+        buffer start cycles: it takes two steps more than their
+        standalone runs, and a schedule that counted steps checked other
+        states from the 32nd check on."""
+        checkers = []
+        attach = differential.attach_invariant_checker
+        check_now = InvariantChecker.check_now
+
+        def attach_spy(proc, **kwargs):
+            checkers.append(attach(proc, **kwargs))
+            checkers[-1].states = []
+            return checkers[-1]
+
+        def recording_check(checker):
+            proc = checker.proc
+            checker.states.append(
+                (proc.now, proc.committed, proc.mode, len(proc.rob),
+                 proc.rob[0].seq if proc.rob else None))
+            check_now(checker)
+
+        monkeypatch.setattr(differential, "attach_invariant_checker",
+                            attach_spy)
+        monkeypatch.setattr(InvariantChecker, "check_now", recording_check)
+        modes = [build_named_config(c).runahead.mode.value
+                 for c in ("rab", "rab_cc", "hybrid")]
+        assert verify_seed(19, insts=20_000, invariants=True,
+                           invariant_every=16, do_minimize=False).ok
+        # The run rab leads carries rab_cc and hybrid to its end.
+        (carrier,) = [c for c in checkers if modes == [
+            s and s.config_name for s in c.proc.member_stats()]]
+        fp = build_fuzz_program(19)
+        for config in ("rab_cc", "hybrid"):
+            processor_stream(fp, config, 20_000, invariants=True,
+                             invariant_every=16)
+            alone = checkers[-1]
+            assert alone.proc is not carrier.proc
+            assert len(alone.states) > 100, config
+            assert carrier.states == alone.states, config
 
     @pytest.mark.parametrize("seed, method, cycle, error, failing", [
         # No runahead entry on seed 0: all four ride one run to the end.
