@@ -8,9 +8,7 @@ are short (Fig. 5).
 
 import pytest
 
-from repro.analysis import gmean
-from repro.config import RunaheadMode, make_config
-from repro.core import simulate
+from repro.analysis.sweeps import buffer_size_sweep
 
 BENCHES = ("mcf", "milc", "soplex", "omnetpp")
 SIZES = (8, 16, 32, 64)
@@ -18,20 +16,9 @@ SIZES = (8, 16, 32, 64)
 
 @pytest.fixture(scope="module")
 def sweep():
-    results = {}
-    for size in SIZES:
-        cfg_kwargs = dict(buffer_uops=size, max_chain_length=size)
-        ratios = []
-        for name in BENCHES:
-            base = simulate(name, make_config(), max_instructions=3000).stats
-            rab = simulate(
-                name,
-                make_config(RunaheadMode.BUFFER, **cfg_kwargs),
-                max_instructions=3000,
-            ).stats
-            ratios.append(rab.ipc / base.ipc)
-        results[size] = 100.0 * (gmean(ratios) - 1.0)
-    return results
+    points = buffer_size_sweep(SIZES, benches=BENCHES, instructions=3000,
+                               warmup=12_000)
+    return {point.value: point.speedup_pct for point in points}
 
 
 def test_buffer_size_sweep(sweep, publish, benchmark):

@@ -7,29 +7,20 @@ out (§4.4), and models 2 destination-register CAM searches per cycle
 
 import pytest
 
-from repro.analysis import Table, gmean
-from repro.config import RunaheadMode, make_config
-from repro.core import simulate
+from repro.analysis import Table
+from repro.analysis.sweeps import chain_cache_sweep, search_bandwidth_sweep
 
 BENCHES = ("mcf", "milc", "soplex")
 
 
-def _gmean_speedup(**cfg_kwargs):
-    ratios = []
-    for name in BENCHES:
-        base = simulate(name, make_config(), max_instructions=3000).stats
-        rab = simulate(
-            name,
-            make_config(RunaheadMode.BUFFER_CHAIN_CACHE, **cfg_kwargs),
-            max_instructions=3000,
-        ).stats
-        ratios.append(rab.ipc / base.ipc)
-    return 100.0 * (gmean(ratios) - 1.0)
+def _gmean_speedups(sweep, values):
+    points = sweep(values, benches=BENCHES, instructions=3000, warmup=12_000)
+    return {point.value: point.speedup_pct for point in points}
 
 
 @pytest.fixture(scope="module")
 def cache_sweep():
-    return {n: _gmean_speedup(chain_cache_entries=n) for n in (1, 2, 4, 8)}
+    return _gmean_speedups(chain_cache_sweep, (1, 2, 4, 8))
 
 
 def test_chain_cache_size_sweep(cache_sweep, publish, benchmark):
@@ -49,7 +40,7 @@ def test_chain_cache_size_sweep(cache_sweep, publish, benchmark):
 
 @pytest.fixture(scope="module")
 def search_sweep():
-    return {n: _gmean_speedup(reg_searches_per_cycle=n) for n in (1, 2, 4)}
+    return _gmean_speedups(search_bandwidth_sweep, (1, 2, 4))
 
 
 def test_search_bandwidth_sweep(search_sweep, publish, benchmark):

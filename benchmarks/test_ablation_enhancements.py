@@ -7,30 +7,35 @@ consumption for the runahead buffer policies".
 
 import pytest
 
-from repro.analysis import Table, gmean
+from repro.analysis import CellSpec, Table, gmean, simulate_cells
 from repro.config import RunaheadMode, make_config
-from repro.core import simulate
 
 BENCHES = ("mcf", "milc", "libquantum", "zeusmp")
+VARIANTS = {
+    "baseline": (RunaheadMode.NONE, False),
+    "runahead": (RunaheadMode.TRADITIONAL, False),
+    "runahead_enh": (RunaheadMode.TRADITIONAL, True),
+    "rab": (RunaheadMode.BUFFER, False),
+    "rab_enh": (RunaheadMode.BUFFER, True),
+}
 
 
 @pytest.fixture(scope="module")
 def results():
-    out = {}
-    for label, mode, enh in (
-        ("runahead", RunaheadMode.TRADITIONAL, False),
-        ("runahead_enh", RunaheadMode.TRADITIONAL, True),
-        ("rab", RunaheadMode.BUFFER, False),
-        ("rab_enh", RunaheadMode.BUFFER, True),
-    ):
-        ratios = []
-        for name in BENCHES:
-            base = simulate(name, make_config(), max_instructions=3000)
-            run = simulate(name, make_config(mode, enhancements=enh),
-                           max_instructions=3000)
-            ratios.append(run.energy.total / base.energy.total)
-        out[label] = 100.0 * (gmean(ratios) - 1.0)
-    return out
+    runs = [(name, label) for name in BENCHES for label in VARIANTS]
+    specs = []
+    for name, label in runs:
+        mode, enhancements = VARIANTS[label]
+        specs.append(CellSpec(name, label,
+                              make_config(mode, enhancements=enhancements),
+                              3000, 12_000))
+    batch = simulate_cells(specs)
+    energy = {run: stats["total_energy_j"]
+              for run, stats in zip(runs, batch.stats)}
+    return {label: 100.0 * (gmean([energy[name, label]
+                                   / energy[name, "baseline"]
+                                   for name in BENCHES]) - 1.0)
+            for label in VARIANTS if label != "baseline"}
 
 
 def test_enhancements_matter_less_for_the_buffer(results, publish,

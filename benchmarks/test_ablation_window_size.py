@@ -9,12 +9,12 @@ this sweep checks: the bigger the real window, the less runahead is worth
 
 import pytest
 
-from repro.analysis import Table, gmean
+from repro.analysis import CellSpec, Table, gmean, simulate_cells
 from repro.config import RunaheadMode, make_config
-from repro.core import simulate
 
 BENCHES = ("mcf", "milc", "soplex")
 ROB_SIZES = (96, 192, 384)
+MODES = (RunaheadMode.NONE, RunaheadMode.TRADITIONAL, RunaheadMode.BUFFER)
 
 
 def _config(mode, rob):
@@ -27,21 +27,20 @@ def _config(mode, rob):
 
 @pytest.fixture(scope="module")
 def sweep():
-    out = {}
-    for rob in ROB_SIZES:
-        ratios_ra, ratios_rab = [], []
-        for name in BENCHES:
-            base = simulate(name, _config(RunaheadMode.NONE, rob),
-                            max_instructions=3000).stats
-            ra = simulate(name, _config(RunaheadMode.TRADITIONAL, rob),
-                          max_instructions=3000).stats
-            rab = simulate(name, _config(RunaheadMode.BUFFER, rob),
-                           max_instructions=3000).stats
-            ratios_ra.append(ra.ipc / base.ipc)
-            ratios_rab.append(rab.ipc / base.ipc)
-        out[rob] = (100.0 * (gmean(ratios_ra) - 1.0),
-                    100.0 * (gmean(ratios_rab) - 1.0))
-    return out
+    runs = [(rob, name, mode)
+            for rob in ROB_SIZES for name in BENCHES for mode in MODES]
+    specs = [CellSpec(name, f"{mode.value}.rob{rob}", _config(mode, rob),
+                      3000, 12_000) for rob, name, mode in runs]
+    ipc = {run: stats["ipc"]
+           for run, stats in zip(runs, simulate_cells(specs).stats)}
+
+    def speedup(rob, mode):
+        return 100.0 * (gmean([ipc[rob, name, mode]
+                               / ipc[rob, name, RunaheadMode.NONE]
+                               for name in BENCHES]) - 1.0)
+
+    return {rob: (speedup(rob, RunaheadMode.TRADITIONAL),
+                  speedup(rob, RunaheadMode.BUFFER)) for rob in ROB_SIZES}
 
 
 def test_window_size_sweep(sweep, publish, benchmark):

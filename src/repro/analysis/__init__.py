@@ -7,18 +7,9 @@ from .experiments import (
     KEY_SCHEMA,
     MODEL_VERSION,
     ExperimentMatrix,
-    all_workloads,
-    evaluation_workloads,
 )
-from .metrics import gmean, gmean_percent_delta, percent_delta
-from .parallel import (
-    CellSpec,
-    SimSpec,
-    print_progress,
-    resolve_jobs,
-    simulate_cells,
-    simulate_configs,
-)
+from .metrics import gmean
+from .parallel import CellSpec, print_progress, resolve_jobs, simulate_cells
 from .report import Table, render, write_report
 from .sweeps import (
     CANNED_SWEEPS,
@@ -36,21 +27,15 @@ __all__ = [
     "ExperimentMatrix",
     "KEY_SCHEMA",
     "MODEL_VERSION",
-    "SimSpec",
     "Table",
-    "all_workloads",
-    "evaluation_workloads",
     "figures",
     "gmean",
-    "gmean_percent_delta",
-    "percent_delta",
     "print_progress",
     "render",
     "resolve_jobs",
     "run_named_sweep",
     "run_sweep",
     "simulate_cells",
-    "simulate_configs",
     "sweep_table",
     "SweepPoint",
     "write_report",

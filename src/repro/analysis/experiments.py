@@ -32,8 +32,7 @@ import os
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
-from ..config import CONFIG_BUILDERS, SamplingConfig
-from ..workloads import medium_high_names, workload_names
+from ..config import CONFIG_BUILDERS, SamplingConfig, build_named_config
 from . import parallel
 
 MODEL_VERSION = 4
@@ -112,14 +111,13 @@ class ExperimentMatrix:
               chain_stats: bool) -> parallel.CellSpec:
         """The simulation that fills one cell at this matrix's budgets
         and tier."""
+        config = build_named_config(config_name)
+        if chain_stats:
+            config.runahead.collect_chain_stats = True
         s = self.sampling
-        if s is not None and s.is_sampled:
-            return parallel.CellSpec(
-                workload, config_name, chain_stats, self.instructions,
-                self.warmup, s.tier, s.ramp_instructions,
-                s.window_instructions, s.stride_instructions)
-        return parallel.CellSpec(workload, config_name, chain_stats,
-                                 self.instructions, self.warmup)
+        sampling = s if s is not None and s.is_sampled else None
+        return parallel.CellSpec(workload, config_name, config,
+                                 self.instructions, self.warmup, sampling)
 
     def _lookup(self, workload: str, config_name: str,
                 chain_stats: bool) -> Optional[dict[str, Any]]:
@@ -160,11 +158,6 @@ class ExperimentMatrix:
     def ipc(self, workload: str, config_name: str) -> float:
         return self.get(workload, config_name)["ipc"]
 
-    def speedup_pct(self, workload: str, config_name: str,
-                    baseline: str = "baseline") -> float:
-        base = self.ipc(workload, baseline)
-        return 100.0 * (self.ipc(workload, config_name) / base - 1.0) if base else 0.0
-
     # -- bulk helpers ---------------------------------------------------------------
 
     def missing_cells(self, cells: Sequence[Cell]) -> list[Cell]:
@@ -186,7 +179,8 @@ class ExperimentMatrix:
 
     def prefetch(self, cells: Sequence[Cell],
                  jobs: Optional[int] = None,
-                 progress: Optional[Callable[[Cell, int, int], None]] = None,
+                 progress: Optional[Callable[[parallel.CellSpec, int, int],
+                                             None]] = None,
                  ) -> Prefetched:
         """Simulate every missing cell, fanning out across processes.
 
@@ -207,24 +201,6 @@ class ExperimentMatrix:
             self.store(workload, config_name, chain_stats, stats)
         self.save()
         return Prefetched(len(missing), batch.runs)
-
-    def run_suite(self, config_names: list[str],
-                  workloads: Optional[list[str]] = None,
-                  chain_stats: bool = False,
-                  jobs: Optional[int] = None) -> None:
-        """Populate a block of cells (and flush the cache once).
-
-        With ``jobs`` > 1 the missing cells are simulated in worker
-        processes; the result is identical to a serial run.
-        """
-        if workloads is None:
-            workloads = medium_high_names()
-        cells = [(w, c, chain_stats)
-                 for w in workloads for c in config_names]
-        self.prefetch(cells, jobs=jobs)
-        for workload, config_name, chain_stats_ in cells:
-            self.get(workload, config_name, chain_stats=chain_stats_)
-        self.save()
 
     # -- persistence -------------------------------------------------------------------
 
@@ -281,11 +257,3 @@ class ExperimentMatrix:
             tmp.unlink(missing_ok=True)
         self._dirty = False
 
-
-def all_workloads() -> list[str]:
-    return workload_names()
-
-
-def evaluation_workloads() -> list[str]:
-    """The medium+high intensity set the paper's evaluation focuses on."""
-    return medium_high_names()

@@ -1,9 +1,9 @@
-"""Aggregation helpers for the evaluation (geometric means, deltas)."""
+"""Aggregation helpers for the evaluation (geometric means)."""
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def gmean(values: Iterable[float]) -> float:
@@ -15,21 +15,3 @@ def gmean(values: Iterable[float]) -> float:
         raise ValueError("gmean of empty sequence")
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
-
-def percent_delta(value: float, reference: float) -> float:
-    """``value`` vs ``reference`` as a percentage (+12.5 means +12.5%)."""
-    if reference == 0:
-        return 0.0
-    return 100.0 * (value / reference - 1.0)
-
-
-def gmean_percent_delta(values: Sequence[float],
-                        references: Sequence[float]) -> float:
-    """Geometric-mean speedup of pairwise ratios, as a percent delta.
-
-    This is how the paper aggregates per-benchmark normalized results
-    (the "GMean" bar of Figs 9/15-18)."""
-    if len(values) != len(references):
-        raise ValueError("length mismatch")
-    ratios = [v / r if r else 1.0 for v, r in zip(values, references)]
-    return 100.0 * (gmean(ratios) - 1.0)

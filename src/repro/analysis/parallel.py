@@ -1,19 +1,19 @@
 """Process-parallel simulation fan-out.
 
-The experiment matrix, the sweeps, and the CLI all reduce to the same
-shape of work: a list of independent, deterministic simulations whose
-results are plain JSON-able stats dicts.  This module fans that list out
-over a :class:`~concurrent.futures.ProcessPoolExecutor` (the simulator is
-pure Python, so threads would serialize on the GIL) and returns results
-in submission order.
+The experiment matrix, the sweeps, ``repro compare`` and the ablation
+benchmarks all reduce to the same shape of work: a list of independent,
+deterministic simulations whose results are plain JSON-able stats dicts.
+This module fans that list out over a
+:class:`~concurrent.futures.ProcessPoolExecutor` (the simulator is pure
+Python, so threads would serialize on the GIL) and returns results in
+submission order.
 
-Two spec types cover every caller:
-
-* :class:`CellSpec` — a named-configuration matrix cell.  Workers rebuild
-  the config from its name, so nothing heavier than a tuple of strings
-  and ints crosses the process boundary on the way in.
-* :class:`SimSpec` — an explicit :class:`~repro.config.SystemConfig`
-  (pickled to the worker), for sweep points whose configs have no name.
+One spec type describes every simulation: a :class:`CellSpec` names the
+workload, carries the :class:`~repro.config.SystemConfig` (pickled to
+the worker), the instruction and warm-up budgets, and the sampling plan
+of a two-level run (``None`` for the detailed tier).  Its ``name`` is
+what the stats and the progress line call the config: a matrix cell's
+named config, or a sweep point's value.
 
 Before fanning out, the specs are grouped into cohorts: detailed-tier
 specs of one workload and budget whose configs differ only in their
@@ -42,42 +42,24 @@ from typing import Any, Callable, Hashable, NamedTuple, Optional, Sequence
 
 
 class CellSpec(NamedTuple):
-    """One experiment-matrix cell: a named config on a named workload.
+    """One simulation: ``config``, called ``name``, on a named workload.
 
-    ``tier`` selects the execution tier (``"detailed"`` or
-    ``"two-level"``); the ramp/window/stride plan only matters for
-    sampled cells and stays zero otherwise.
+    ``sampling`` is the two-level plan of a sampled run, or ``None`` for
+    the detailed tier.
     """
 
     workload: str
-    config_name: str
-    chain_stats: bool
-    instructions: int
-    warmup: int
-    tier: str = "detailed"
-    ramp: int = 0
-    window: int = 0
-    stride: int = 0
-
-    @property
-    def label(self) -> str:
-        suffix = "+chains" if self.chain_stats else ""
-        tier = f" [{self.tier}]" if self.tier != "detailed" else ""
-        return f"{self.workload}/{self.config_name}{suffix}{tier}"
-
-
-class SimSpec(NamedTuple):
-    """One ad-hoc simulation: an explicit config on a named workload."""
-
-    workload: str
+    name: str
     config: Any  # a SystemConfig; pickled to the worker
     instructions: int
     warmup: int
-    name: str = ""
+    sampling: Any = None  # a SamplingConfig, or None
 
     @property
     def label(self) -> str:
-        return f"{self.workload}/{self.name}" if self.name else self.workload
+        suffix = "+chains" if self.config.runahead.collect_chain_stats else ""
+        tier = f" [{self.sampling.tier}]" if self.sampling is not None else ""
+        return f"{self.workload}/{self.name}{suffix}{tier}"
 
 
 class Batch(NamedTuple):
@@ -107,41 +89,8 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return max(1, int(jobs))
 
 
-def _cell_config(spec: CellSpec):
-    from ..config import build_named_config
-
-    config = build_named_config(spec.config_name)
-    if spec.chain_stats:
-        config.runahead.collect_chain_stats = True
-    return config
-
-
 def simulate_cell(spec: CellSpec) -> dict[str, Any]:
-    """Simulate one matrix cell on its own."""
-    from ..config import SamplingConfig
-    from ..core import simulate
-
-    sampling = None
-    if spec.tier != "detailed":
-        sampling = SamplingConfig(
-            tier=spec.tier, ramp_instructions=spec.ramp,
-            window_instructions=spec.window, stride_instructions=spec.stride)
-    result = simulate(
-        spec.workload,
-        _cell_config(spec),
-        max_instructions=spec.instructions,
-        warmup_instructions=spec.warmup,
-        config_name=spec.config_name,
-        sampling=sampling,
-    )
-    stats = result.stats.to_dict()
-    if result.sampling is not None:
-        from ..fastpath import scrub_host_keys
-        stats["sampling"] = scrub_host_keys(result.sampling)
-    return stats
-
-
-def _simulate_spec(spec: SimSpec) -> dict[str, Any]:
+    """Simulate one spec on its own."""
     from ..core import simulate
 
     result = simulate(
@@ -150,48 +99,39 @@ def _simulate_spec(spec: SimSpec) -> dict[str, Any]:
         max_instructions=spec.instructions,
         warmup_instructions=spec.warmup,
         config_name=spec.name,
+        sampling=spec.sampling,
     )
-    return result.stats.to_dict()
-
-
-def _cohort_key(spec, config) -> Optional[Hashable]:
-    """The cohort a detailed-tier ``spec`` joins, or ``None`` if it runs
-    alone."""
-    from ..config import cohort_key
-
-    key = cohort_key(config)
-    if key is None:
-        return None
-    return (spec.workload, spec.instructions, spec.warmup, key)
-
-
-def _simulate_cohort(specs: Sequence[Any], configs: Sequence[Any],
-                     names: Sequence[str]) -> tuple[list[dict[str, Any]], int]:
-    from ..core import simulate_cohort
-
-    first = specs[0]
-    results, runs = simulate_cohort(
-        first.workload, configs, max_instructions=first.instructions,
-        warmup_instructions=first.warmup, config_names=names)
-    return [stats.to_dict() for stats in results], runs
+    stats = result.stats.to_dict()
+    if result.sampling is not None:
+        from ..fastpath import scrub_host_keys
+        stats["sampling"] = scrub_host_keys(result.sampling)
+    return stats
 
 
 def _simulate_cells(specs: Sequence[CellSpec]
                     ) -> tuple[list[dict[str, Any]], int]:
-    """Worker entry point: one cohort of matrix cells."""
+    """Worker entry point: one cohort of specs, or one spec alone."""
     if len(specs) == 1:
         return [simulate_cell(specs[0])], 1
-    return _simulate_cohort(specs, [_cell_config(s) for s in specs],
-                            [s.config_name for s in specs])
+    from ..core import simulate_cohort
+
+    first = specs[0]
+    results, runs = simulate_cohort(
+        first.workload, [s.config for s in specs],
+        max_instructions=first.instructions,
+        warmup_instructions=first.warmup,
+        config_names=[s.name for s in specs])
+    return [stats.to_dict() for stats in results], runs
 
 
-def _simulate_specs(specs: Sequence[SimSpec]
-                    ) -> tuple[list[dict[str, Any]], int]:
-    """Worker entry point: one cohort of explicit-config specs."""
-    if len(specs) == 1:
-        return [_simulate_spec(specs[0])], 1
-    return _simulate_cohort(specs, [s.config for s in specs],
-                            [s.name for s in specs])
+def _cohort_key(spec: CellSpec) -> Optional[Hashable]:
+    """The cohort ``spec`` joins, or ``None`` if it runs alone."""
+    from ..config import cohort_key
+
+    key = cohort_key(spec.config) if spec.sampling is None else None
+    if key is None:
+        return None
+    return (spec.workload, spec.instructions, spec.warmup, key)
 
 
 def _cohorts(keys: Sequence[Optional[Hashable]]) -> list[list[int]]:
@@ -211,20 +151,18 @@ def _cohorts(keys: Sequence[Optional[Hashable]]) -> list[list[int]]:
     return groups
 
 
-def _fan_out(
-    fn: Callable[[list[Any]], tuple[list[dict[str, Any]], int]],
-    specs: Sequence[Any],
-    keys: Sequence[Optional[Hashable]],
-    jobs: Optional[int],
-    progress: Optional[Callable[[Any, int, int], None]],
+def simulate_cells(
+    specs: Sequence[CellSpec],
+    jobs: Optional[int] = None,
+    progress: Optional[Callable[[CellSpec, int, int], None]] = None,
 ) -> Batch:
-    """Run ``fn`` over the cohorts ``keys`` group ``specs`` into, and
-    return the stats in spec order.  ``progress`` fires once per spec,
-    with (spec, done, total), in spec order as the specs before it have
+    """Simulate ``specs`` across processes, cohorts together, and return
+    the stats in spec order.  ``progress`` fires once per spec, with
+    (spec, done, total), in spec order as the specs before it have
     finished too."""
     specs = list(specs)
     total = len(specs)
-    groups = _cohorts(keys)
+    groups = _cohorts([_cohort_key(spec) for spec in specs])
     results: list[Optional[dict[str, Any]]] = [None] * total
     runs = 0
     reported = 0
@@ -241,13 +179,13 @@ def _fan_out(
     jobs = min(resolve_jobs(jobs), len(groups)) if groups else 1
     if jobs <= 1:
         for group in groups:
-            out, n = fn([specs[i] for i in group])
+            out, n = _simulate_cells([specs[i] for i in group])
             runs += n
             finish(group, out)
         return Batch(results, runs)  # type: ignore[arg-type]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {pool.submit(fn, [specs[i] for i in group]): group
-                   for group in groups}
+        futures = {pool.submit(_simulate_cells, [specs[i] for i in group]):
+                   group for group in groups}
         for future in as_completed(futures):
             out, n = future.result()
             runs += n
@@ -255,28 +193,7 @@ def _fan_out(
     return Batch(results, runs)  # type: ignore[arg-type]
 
 
-def simulate_cells(
-    cells: Sequence[CellSpec],
-    jobs: Optional[int] = None,
-    progress: Optional[Callable[[CellSpec, int, int], None]] = None,
-) -> Batch:
-    """Simulate matrix cells across processes, cohorts together."""
-    keys = [_cohort_key(spec, _cell_config(spec))
-            if spec.tier == "detailed" else None for spec in cells]
-    return _fan_out(_simulate_cells, cells, keys, jobs, progress)
-
-
-def simulate_configs(
-    specs: Sequence[SimSpec],
-    jobs: Optional[int] = None,
-    progress: Optional[Callable[[SimSpec, int, int], None]] = None,
-) -> Batch:
-    """Simulate explicit-config specs across processes, cohorts together."""
-    keys = [_cohort_key(spec, spec.config) for spec in specs]
-    return _fan_out(_simulate_specs, specs, keys, jobs, progress)
-
-
-def print_progress(spec: Any, done: int, total: int) -> None:
+def print_progress(spec: CellSpec, done: int, total: int) -> None:
     """Default progress line: ``[ 12/60] mcf/rab_cc+chains``."""
     width = len(str(total))
     print(f"[{done:{width}d}/{total}] {spec.label}", flush=True)

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 from ..config import RunaheadMode, SystemConfig, make_config
 from .metrics import gmean
-from .parallel import SimSpec, simulate_configs
+from .parallel import CellSpec, simulate_cells
 from .report import Table
 
 DEFAULT_BENCHES = ("mcf", "milc", "soplex")
@@ -63,13 +63,13 @@ def run_sweep(
         instructions = default_sweep_instructions()
     if warmup is None:
         warmup = default_sweep_warmup()
-    specs = [SimSpec(name, make_config(), instructions, warmup, "baseline")
+    specs = [CellSpec(name, "baseline", make_config(), instructions, warmup)
              for name in benches]
     for value in values:
         config = configure(value)
-        specs.extend(SimSpec(name, config, instructions, warmup, str(value))
+        specs.extend(CellSpec(name, str(value), config, instructions, warmup)
                      for name in benches)
-    stats = simulate_configs(specs, jobs=jobs).stats
+    stats = simulate_cells(specs, jobs=jobs).stats
     ipcs = [s["ipc"] for s in stats]
     baselines = dict(zip(benches, ipcs))
     points = []

@@ -33,7 +33,7 @@ import sys
 from typing import Callable, Optional, Sequence
 
 from .analysis import ExperimentMatrix, figures, render, write_report
-from .analysis.parallel import SimSpec, print_progress, simulate_configs
+from .analysis.parallel import CellSpec, print_progress, simulate_cells
 from .analysis.sweeps import CANNED_SWEEPS, run_named_sweep
 from .config import (CONFIG_BUILDERS, SAMPLING_TIERS, SamplingConfig,
                      build_named_config)
@@ -284,10 +284,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    specs = [SimSpec(args.workload, build_named_config(config_name),
-                     args.instructions, args.warmup, config_name)
+    specs = [CellSpec(args.workload, config_name,
+                      build_named_config(config_name),
+                      args.instructions, args.warmup)
              for config_name in args.configs]
-    results = simulate_configs(specs, jobs=args.jobs).stats
+    results = simulate_cells(specs, jobs=args.jobs).stats
     header = (f"{'config':16s} {'ipc':>7s} {'speedup':>8s} {'mpki':>6s} "
               f"{'dram':>6s} {'energy':>8s}")
     print(f"{args.workload}:")

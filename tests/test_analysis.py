@@ -9,8 +9,6 @@ from repro.analysis import (
     Table,
     figures,
     gmean,
-    gmean_percent_delta,
-    percent_delta,
     render,
     write_report,
 )
@@ -27,15 +25,6 @@ class TestMetrics:
     def test_gmean_empty_raises(self):
         with pytest.raises(ValueError):
             gmean([])
-
-    def test_percent_delta(self):
-        assert percent_delta(1.5, 1.0) == pytest.approx(50.0)
-        assert percent_delta(1.0, 0.0) == 0.0
-
-    def test_gmean_percent_delta(self):
-        assert gmean_percent_delta([2, 2], [1, 1]) == pytest.approx(100.0)
-        with pytest.raises(ValueError):
-            gmean_percent_delta([1], [1, 2])
 
 
 class TestTableRendering:
@@ -97,12 +86,6 @@ class TestExperimentMatrix:
         matrix = ExperimentMatrix(cache_path=tmp_path / "c.json")
         with pytest.raises(ValueError):
             matrix.get("mcf", "not_a_config")
-
-    def test_speedup_helper(self, tmp_path):
-        matrix = ExperimentMatrix(instructions=400, warmup=500,
-                                  cache_path=None)
-        delta = matrix.speedup_pct("calculix", "baseline")
-        assert delta == pytest.approx(0.0)
 
     def test_chain_stats_cells_distinct(self, tmp_path):
         matrix = ExperimentMatrix(instructions=400, warmup=500,

@@ -276,11 +276,11 @@ class TestCacheKeying:
         assert same_plan.is_cached("mcf", "baseline")
 
     def test_cellspec_defaults_stay_detailed(self):
-        spec = CellSpec("mcf", "baseline", False, 5_000, 12_000)
-        assert spec.tier == "detailed"
+        spec = CellSpec("mcf", "baseline", build_named_config("baseline"),
+                        5_000, 12_000)
+        assert spec.sampling is None
         assert spec.label == "mcf/baseline"
-        sampled = CellSpec("mcf", "baseline", False, 5_000, 12_000,
-                           "two-level", 500, 1_500, 40_000)
+        sampled = spec._replace(sampling=PLAN)
         assert "two-level" in sampled.label
 
     def test_prefetch_specs_carry_tier(self, monkeypatch):
@@ -298,6 +298,5 @@ class TestCacheKeying:
                                   cache_path=None, sampling=PLAN)
         matrix.prefetch([("mcf", "baseline", False)])
         (spec,) = captured["specs"]
-        assert spec.tier == "two-level"
-        assert (spec.ramp, spec.window, spec.stride) == (500, 1_500, 40_000)
+        assert spec.sampling == PLAN
         assert matrix.is_cached("mcf", "baseline")

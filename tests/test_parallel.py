@@ -9,17 +9,25 @@ import pytest
 from repro.analysis import ExperimentMatrix
 from repro.analysis.parallel import (
     CellSpec,
-    SimSpec,
     resolve_jobs,
+    simulate_cell,
     simulate_cells,
-    simulate_configs,
     usable_cpus,
 )
-from repro.config import make_config
+from repro.config import (RunaheadMode, SamplingConfig, build_named_config,
+                          make_config)
 
 WORKLOADS = ["calculix", "mcf"]
 CONFIGS = ["baseline", "runahead"]
 BUDGET = dict(instructions=400, warmup=500)
+
+
+def _cell(workload, config_name, chain_stats=False, sampling=None):
+    """The spec of one named-config cell at ``BUDGET``."""
+    config = build_named_config(config_name)
+    config.runahead.collect_chain_stats = chain_stats
+    return CellSpec(workload, config_name, config, BUDGET["instructions"],
+                    BUDGET["warmup"], sampling)
 
 
 class TestResolveJobs:
@@ -53,20 +61,20 @@ class TestResolveJobs:
 
 class TestFanOut:
     def test_simulate_cells_matches_matrix_get(self):
-        spec = CellSpec("calculix", "baseline", False, 400, 500)
+        spec = _cell("calculix", "baseline")
         (stats,) = simulate_cells([spec], jobs=1).stats
         matrix = ExperimentMatrix(cache_path=None, **BUDGET)
         assert stats == matrix.get("calculix", "baseline")
 
     def test_pool_preserves_submission_order(self):
-        specs = [SimSpec(name, make_config(), 400, 500, name)
+        specs = [CellSpec(name, name, make_config(), 400, 500)
                  for name in WORKLOADS]
-        parallel = simulate_configs(specs, jobs=2)
-        serial = simulate_configs(specs, jobs=1)
+        parallel = simulate_cells(specs, jobs=2)
+        serial = simulate_cells(specs, jobs=1)
         assert parallel == serial
 
     def test_progress_callback_fires_per_cell(self):
-        specs = [CellSpec(w, "baseline", False, 400, 500) for w in WORKLOADS]
+        specs = [_cell(w, "baseline") for w in WORKLOADS]
         seen = []
         simulate_cells(specs, jobs=1,
                        progress=lambda spec, done, total:
@@ -76,9 +84,8 @@ class TestFanOut:
     def test_progress_keeps_spec_order_across_cohorts(self):
         # mcf/runahead and mcf/rab form one cohort, simulated before
         # calculix/baseline; progress still reports the cells in order.
-        specs = [CellSpec("mcf", "runahead", False, 400, 500),
-                 CellSpec("calculix", "baseline", False, 400, 500),
-                 CellSpec("mcf", "rab", False, 400, 500)]
+        specs = [_cell("mcf", "runahead"), _cell("calculix", "baseline"),
+                 _cell("mcf", "rab")]
         seen = []
         batch = simulate_cells(specs, jobs=1,
                                progress=lambda spec, done, total:
@@ -87,15 +94,39 @@ class TestFanOut:
                         ("mcf/rab", 3)]
         assert batch.runs == 3
 
+    def test_one_batch_holds_every_kind_of_spec(self):
+        # A two-level cell, a +chains cell, a cohort (mcf's runahead and
+        # rab) and an unnamed sweep config, in one call: each gets the
+        # stats of its run alone, in spec order.
+        plan = SamplingConfig(tier="two-level", ramp_instructions=50,
+                              window_instructions=100,
+                              stride_instructions=200)
+        sweep = make_config(RunaheadMode.BUFFER, buffer_uops=16,
+                            max_chain_length=16)
+        specs = [_cell("calculix", "baseline", sampling=plan),
+                 _cell("soplex", "rab_cc", chain_stats=True),
+                 _cell("mcf", "runahead"), _cell("mcf", "rab"),
+                 CellSpec("mcf", "16", sweep, 400, 500)]
+        seen = []
+        batch = simulate_cells(specs, jobs=1,
+                               progress=lambda spec, done, total:
+                               seen.append(spec.label))
+        assert batch.stats == [simulate_cell(spec) for spec in specs]
+        assert "sampling" in batch.stats[0]
+        assert seen == ["calculix/baseline [two-level]",
+                        "soplex/rab_cc+chains", "mcf/runahead", "mcf/rab",
+                        "mcf/16"]
+
 
 class TestMatrixPrefetch:
     def test_serial_and_parallel_results_byte_identical(self, tmp_path):
         serial = ExperimentMatrix(cache_path=tmp_path / "serial.json",
                                   **BUDGET)
-        serial.run_suite(CONFIGS, workloads=WORKLOADS, jobs=1)
+        cells = [(w, c, False) for w in WORKLOADS for c in CONFIGS]
+        serial.prefetch(cells, jobs=1)
         parallel = ExperimentMatrix(cache_path=tmp_path / "parallel.json",
                                     **BUDGET)
-        parallel.run_suite(CONFIGS, workloads=WORKLOADS, jobs=2)
+        parallel.prefetch(cells, jobs=2)
         assert (json.dumps(serial._results, sort_keys=True)
                 == json.dumps(parallel._results, sort_keys=True))
 
@@ -147,10 +178,10 @@ class TestMatrixPrefetch:
 class TestSweepParallel:
     def _fake_simulate(self, calls):
         def fake(workload, config, max_instructions=0,
-                 warmup_instructions=0, config_name=""):
+                 warmup_instructions=0, config_name="", sampling=None):
             calls.append((workload, max_instructions, warmup_instructions))
             stats = SimpleNamespace(to_dict=lambda: {"ipc": 1.0})
-            return SimpleNamespace(stats=stats)
+            return SimpleNamespace(stats=stats, sampling=None)
         return fake
 
     def test_run_sweep_honors_env_budgets(self, monkeypatch):

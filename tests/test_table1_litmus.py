@@ -91,6 +91,24 @@ def test_independent_alu_work():
         PER_ITERATION / CONFIG.core.width)
 
 
+def _chase(b):
+    """16 chained loads: each load's address is the data of the one
+    before it."""
+    for _ in range(BODY):
+        b.load("R5", "R5", 0)
+
+
+def _ring(lines: int, base: int = 0x100000) -> DataMemory:
+    """``lines`` consecutive cache lines from ``base``, each holding the
+    next line's address in its first word; the last points back to
+    ``base``."""
+    size = CONFIG.l1d.line_bytes
+    memory = DataMemory()
+    for i in range(lines):
+        memory.store(base + i * size, base + (i + 1) % lines * size)
+    return memory
+
+
 def test_l1_pointer_chase():
     """16 chained loads of a word that holds its own address, so every
     load's address is the data of the load before it and every access
@@ -102,9 +120,49 @@ def test_l1_pointer_chase():
     memory = DataMemory()
     memory.store(addr, addr)
 
-    def body(b):
-        for _ in range(BODY):
-            b.load("R5", "R5", 0)
-
-    assert _cycles_per_iteration(body, memory, R5=addr) == BODY * (
+    assert _cycles_per_iteration(_chase, memory, R5=addr) == BODY * (
         CONFIG.core.latency_agu + CONFIG.l1d.latency)
+
+
+def test_llc_pointer_chase():
+    """16 chained loads around a ring of 4,096 lines (256 KB): 8× the
+    L1D, so the LRU L1D has always evicted the next line by the time the
+    chase comes back to it, and well inside the LLC, which holds the
+    whole ring after warm-up.  Each load misses the L1D and hits the
+    LLC, so an iteration takes 16 × (``latency_agu`` + ``l1d.latency``
+    + ``llc.latency``) = 16 × (1 + 3 + 18) = 352 cycles."""
+    lines = 8 * CONFIG.l1d.size_bytes // CONFIG.l1d.line_bytes
+    assert lines * CONFIG.l1d.line_bytes < CONFIG.llc.size_bytes
+    base = 0x100000
+    assert _cycles_per_iteration(_chase, _ring(lines, base), R5=base) == (
+        BODY * (CONFIG.core.latency_agu + CONFIG.l1d.latency
+                + CONFIG.llc.latency))
+
+
+def test_dram_pointer_chase():
+    """16 chained loads around a ring of 32,768 lines (2 MB, 2× the
+    LLC).  Warm-up, settling and timing together load fewer lines than
+    the ring holds, so no timed load revisits a line: each misses the
+    L1D and the LLC and goes to DRAM.  A DRAM access pays
+    ``controller_latency``, then opens its row (``t_rcd``), reads the
+    column (``t_cas``) and moves the line (``t_burst``).  So an
+    iteration takes 16 × (``latency_agu`` + ``l1d.latency`` +
+    ``llc.latency`` + ``controller_latency`` + ``t_rcd`` + ``t_cas`` +
+    ``t_burst``) = 16 × (1 + 3 + 18 + 90 + 44 + 44 + 16) = 3456 cycles.
+
+    Every timed access finds its row already closed: the next load
+    reaches DRAM 1 + 3 + 18 + 90 = 112 cycles after the line before it
+    left its bank, past the ``row_timeout`` of 96 idle cycles that
+    closes a row.  All 16,000 timed accesses are row misses, with no row
+    hit and no row conflict, so a dependent chase cannot time the
+    row-hit (``t_cas``) or row-conflict (``t_rp`` + ``t_rcd`` +
+    ``t_cas``) variants."""
+    lines = 2 * CONFIG.llc.size_bytes // CONFIG.llc.line_bytes
+    loads = BODY * (WARMUP // PER_ITERATION + SETTLE + MEASURED + 1)
+    assert loads < lines
+    base = 0x1000000
+    dram = CONFIG.dram
+    assert _cycles_per_iteration(_chase, _ring(lines, base), R5=base) == (
+        BODY * (CONFIG.core.latency_agu + CONFIG.l1d.latency
+                + CONFIG.llc.latency + dram.controller_latency
+                + dram.t_rcd + dram.t_cas + dram.t_burst))
