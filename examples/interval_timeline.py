@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Visualize runahead intervals on a timeline (the hybrid policy live).
 
-Runs one workload under the hybrid policy with a commit trace attached
-and renders an ASCII timeline: ``B`` = runahead-buffer mode (front-end
-clock-gated), ``T`` = traditional runahead, ``.`` = normal execution.
+Runs one workload under the hybrid policy with a commit trace and an
+event tracer attached, and renders the ``runahead_exit`` events the
+tracer records as an ASCII timeline: ``B`` = runahead-buffer mode
+(front-end clock-gated), ``T`` = traditional runahead, ``.`` = normal
+execution.
 omnetpp is the interesting default — its over-long chains make the
 hybrid fall back to traditional runahead (all ``T``), while mcf runs
 almost entirely in buffer mode (all ``B``).
@@ -17,6 +19,7 @@ import sys
 
 from repro import RunaheadMode, make_config
 from repro.core import CommitTrace, Processor, render_interval_timeline
+from repro.obs import Tracer
 from repro.workloads import build_workload
 
 
@@ -31,14 +34,16 @@ def main() -> None:
     trace = CommitTrace(capacity=32)
     processor.commit_hook = trace.on_commit
     processor.warm_up(12_000)
+    tracer = Tracer(kinds=["runahead_exit"])
+    tracer.attach(processor)   # after warm-up: trace the timed run only
     stats = processor.run(instructions)
 
     print(f"{name} under the hybrid policy "
           f"(ipc {stats.ipc:.3f}, {stats.runahead_intervals} intervals, "
           f"{100 * stats.hybrid_rab_share:.0f}% of runahead cycles in the "
           "buffer)\n")
-    timeline = render_interval_timeline(processor.ra_policy.intervals,
-                                        stats.cycles)
+    timeline = render_interval_timeline(
+        tracer.trace.events("runahead_exit"), stats.cycles)
     # Timeline lane + summary, then at most 10 interval detail lines.
     lines = timeline.split("\n")
     print("\n".join(lines[:3 + 10]))

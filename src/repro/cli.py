@@ -337,6 +337,8 @@ def _cmd_suite(args) -> int:
         path = write_report(table, filename)
         matrix.save()
         print(f"[{fig_id:>8s}] {table.title}  -> {path}")
+    path = figures.export_comparison(matrix)
+    print(f"paper-vs-measured headlines  -> {path}")
     return 0
 
 

@@ -59,7 +59,6 @@ from ..runahead import (
     EntryPolicy,
     RunaheadBuffer,
     RunaheadCache,
-    RunaheadPolicyState,
     generate_chain,
     same_path,
 )
@@ -164,13 +163,26 @@ class Processor:
         # buffer after _rab_start_cycle, the earliest start of the
         # interval (see _dispatch_from_buffer).
         self._rab_pending: Sequence[tuple[int, EntryPolicy]] = ()
-        self._interval_pseudo_retired = 0
+        # The open runahead interval: its entry cycle (-1 when none is
+        # open), whether the lead entered it from the chain cache, and
+        # the cumulative miss and pseudo-retirement counts at entry.
+        self._interval_entry = -1
+        self._interval_used_cc = False
+        self._misses_at_entry = 0
+        self._retired_at_entry = 0
         # Program-order pseudo-retirements only: RAB chain-loop uops
         # re-execute the same few instructions and do not advance the
         # architectural frontier, so Policy 2's furthest-point tracking
         # must not count them.
         self._interval_pseudo_retired_arch = 0
         self._committed_at_entry = 0
+        # Policy 2's marker: the furthest program point a closed interval
+        # reached.
+        self.furthest_instruction = -1
+        # The last closed interval: (entry cycle, exit cycle, misses
+        # generated, uops pseudo-retired, entered from the chain cache),
+        # or None.  The tracer's runahead_exit payload reads it.
+        self.last_interval: Optional[tuple[int, int, int, int, bool]] = None
         # Runahead loads whose data is further away than this are INV.
         self._poison_latency = 3 * config.llc.latency
 
@@ -234,7 +246,6 @@ class Processor:
         self.now = 0
         self.seq = 0
         self.committed = 0
-        self.dispatched_total = 0
         self.halted = False
         self._entry_declined_seq = -1
         # Event-driven clock (see _step): the cycle the idle stretch
@@ -257,12 +268,6 @@ class Processor:
         # Cumulative instructions executed by fast_forward since
         # construction (part of the warm-state snapshot).
         self.ff_instructions = 0
-
-    @property
-    def ra_policy(self) -> RunaheadPolicyState:
-        """The lead member's policy state (the only one when the core
-        simulates one configuration)."""
-        return self.members[0].state
 
     @property
     def chain_cache(self):
@@ -303,8 +308,8 @@ class Processor:
         state a functional replay from the returned PC must start from.
         """
         if self.mode != "normal":
-            # run() has already closed the policy interval if it returned
-            # mid-runahead; _exit_runahead's second end_interval no-ops.
+            # run() has already closed the interval if it returned inside
+            # it; closing it again at the exit is a no-op.
             self._exit_runahead(self.now)
         if self.rob:
             # Oldest uncommitted instruction.  An in-flight mispredict
@@ -420,8 +425,8 @@ class Processor:
         two-tier engine carries across a fast-forward gap: registers, PC,
         memory words, the full cache/DRAM/prefetcher hierarchy, the
         branch predictor, and the stream-position bookkeeping.  Run
-        statistics (``SimStats``, energy counters, runahead-policy
-        interval history) are deliberately *not* part of the format.
+        statistics (``SimStats``, energy counters, the runahead
+        interval facts) are deliberately *not* part of the format.
         The lane-equivalence gate compares two lanes' snapshots through
         :func:`repro.fastpath.snapshot_bytes`.
 
@@ -478,8 +483,7 @@ class Processor:
                     f"no forward progress for {_WATCHDOG_CYCLES} cycles "
                     f"at cycle {self.now} (mode={self.mode})"
                 )
-        if self.members[0].state.current is not None:
-            self._finish_interval()
+        self._close_interval()   # an interval the run returns inside
         return self._finalize_stats()
 
     # -- one cycle ---------------------------------------------------------------
@@ -855,7 +859,6 @@ class Processor:
             elif inst.is_load:
                 self.load_queue_used -= 1
             self.stats.runahead_pseudo_retired += 1
-            self._interval_pseudo_retired += 1
             if not uop.from_rab:
                 self._interval_pseudo_retired_arch += 1
             self._last_progress = now
@@ -925,6 +928,7 @@ class Processor:
         if lead is None:
             self._entry_declined_seq = head.seq
             return
+        self._interval_used_cc = lead is not TRADITIONAL and lead.used_cc
         if lead is TRADITIONAL:
             self._enter_traditional(head, now)
         else:
@@ -935,8 +939,8 @@ class Processor:
                     (now + d.gen_cycles, member)
                     for member, d in zip(members, decisions)
                     if d.gen_cycles > gen_cycles]
-        for member, decision in zip(members, decisions):
-            member.enter(decision, now)
+        for member in members:
+            member.enter()
 
     def _algorithm1(self, head: InFlightUop) -> ChainGenResult:
         """Algorithm 1 against the stalled ROB, run at most once per
@@ -966,7 +970,9 @@ class Processor:
         self._predictor_checkpoint = self.predictor.checkpoint_full()
         self._blocking_pc = head.pc
         self._exit_cycle = head.done_cycle
-        self._interval_pseudo_retired = 0
+        self._interval_entry = now
+        self._misses_at_entry = self.stats.runahead_misses_generated
+        self._retired_at_entry = self.stats.runahead_pseudo_retired
         self._interval_pseudo_retired_arch = 0
         self._committed_at_entry = self.committed
         self.runahead_cache.clear()
@@ -1031,19 +1037,31 @@ class Processor:
         self.decode_queue.clear()
         self.fetch.flush()
 
-    def _finish_interval(self) -> None:
-        for member in self.members:
-            member.state.end_interval(
-                self.now, self._committed_at_entry,
-                self._interval_pseudo_retired,
-                program_distance=self._interval_pseudo_retired_arch,
-            )
+    def _close_interval(self) -> None:
+        """Close the open runahead interval, if any, at ``now``: make it
+        :attr:`last_interval` and move Policy 2's marker to the program
+        point it reached.  Its misses and pseudo-retirements are the
+        cumulative counters' growth since entry."""
+        entry = self._interval_entry
+        if entry < 0:
+            return
+        stats = self.stats
+        self.last_interval = (
+            entry, self.now,
+            stats.runahead_misses_generated - self._misses_at_entry,
+            stats.runahead_pseudo_retired - self._retired_at_entry,
+            self._interval_used_cc)
+        self._interval_entry = -1
+        furthest = (self._committed_at_entry
+                    + self._interval_pseudo_retired_arch)
+        if furthest > self.furthest_instruction:
+            self.furthest_instruction = furthest
 
     def _exit_runahead(self, now: int) -> None:
         was_rab = self.mode == "rab"
         if self.tracker is not None and not was_rab:
             self.tracker.end_interval()
-        self._finish_interval()
+        self._close_interval()
         self._flush_pipeline()
         assert self._checkpoint is not None
         self.rename.reset_to_values(self._checkpoint)
@@ -1257,10 +1275,6 @@ class Processor:
                 self.stats.inv_ops += 1
                 if access.level == "DRAM" and not access.merged:
                     self.stats.runahead_misses_generated += 1
-                    for member in self.members:
-                        record = member.state.current
-                        if record is not None:
-                            record.misses_generated += 1
                     if self.mode == "rab":
                         self.stats.runahead_misses_rab += 1
                     else:
@@ -1496,9 +1510,9 @@ class Processor:
         s.rab_iterations = self.rab.iterations_started
         # These stats are always-equal mirrors of the folded counters.
         s.dispatched_uops = self._ev_rename
-        self.dispatched_total = self._ev_rename
         s.issued_uops = self._ev_issue
         s.fetched_uops = self._ev_fetch
+        s.runahead_intervals = s.rab_intervals + s.traditional_intervals
         return self._member_fields(s, self.members[0])
 
     def attached(self) -> list[bool]:
@@ -1534,17 +1548,15 @@ class Processor:
         """Set the fields ``member``'s entry policy owns on ``s``: its
         filter, chain-cache and chain-generation counters, its energy
         events, and ``chains`` if it collects chain statistics."""
-        policy = member.state
-        s.runahead_intervals = policy.interval_count()
         s.entries_blocked_enh = (
-            policy.entries_blocked_short + policy.entries_blocked_overlap
+            member.entries_blocked_short + member.entries_blocked_overlap
         )
-        s.entries_blocked_no_chain = policy.entries_blocked_no_chain
+        s.entries_blocked_no_chain = member.entries_blocked_no_chain
         cache = member.chain_cache
         s.chain_cache_hits = cache.hits if cache is not None else 0
         s.chain_cache_misses = cache.misses if cache is not None else 0
-        s.chain_cache_checked_hits = policy.cc_hits_checked
-        s.chain_cache_exact_hits = policy.cc_hits_exact
+        s.chain_cache_checked_hits = member.cc_hits_checked
+        s.chain_cache_exact_hits = member.cc_hits_exact
         s.chain_generations = member.chain_generations
         s.chain_gen_cycles = member.chain_gen_cycles
         if self.tracker is not None:

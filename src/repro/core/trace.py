@@ -7,8 +7,9 @@ Two facilities for studying runs:
   debugging workloads and for differential testing against the
   reference interpreter.
 * :func:`render_interval_timeline` — an ASCII timeline of a run's
-  runahead intervals (mode, duration, misses generated), the quickest
-  way to *see* what a policy is doing.
+  runahead intervals (mode, duration, misses generated) from the
+  ``runahead_exit`` events a :class:`repro.obs.Tracer` records, the
+  quickest way to *see* what a policy is doing.
 
 For structured event traces (typed events, Perfetto/Chrome trace
 export, occupancy sampling, the metrics registry) see :mod:`repro.obs`,
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..runahead import IntervalRecord
+    from ..obs import TraceEvent
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,14 @@ class CommitTrace:
 
 
 def render_interval_timeline(
-    intervals: Iterable["IntervalRecord"],
+    exits: Iterable["TraceEvent"],
     total_cycles: int,
     width: int = 72,
 ) -> str:
-    """ASCII timeline: ``.`` normal execution, ``T`` traditional runahead,
+    """ASCII timeline of the intervals that ``exits`` (``runahead_exit``
+    events) close: ``.`` normal execution, ``T`` traditional runahead,
     ``B`` runahead-buffer mode.  One summary line per interval follows."""
-    intervals = list(intervals)
+    exits = list(exits)
     if total_cycles <= 0:
         return "(empty run)"
     lane = ["."] * width
@@ -102,25 +104,25 @@ def render_interval_timeline(
     def col(cycle: int) -> int:
         return min(width - 1, cycle * width // total_cycles)
 
-    for record in intervals:
-        mark = "B" if record.kind == "buffer" else "T"
-        for c in range(col(record.entry_cycle), col(record.exit_cycle) + 1):
+    modes = [event.data["mode"] for event in exits]
+    for event, mode in zip(exits, modes):
+        mark = "B" if mode == "buffer" else "T"
+        for c in range(col(event.data["entry_cycle"]), col(event.cycle) + 1):
             lane[c] = mark
 
     lines = [
         f"cycles 0..{total_cycles}",
         "".join(lane),
-        f"{len(intervals)} intervals "
-        f"({sum(1 for r in intervals if r.kind == 'buffer')} buffer, "
-        f"{sum(1 for r in intervals if r.kind == 'traditional')} "
-        "traditional)",
+        f"{len(exits)} intervals ({modes.count('buffer')} buffer, "
+        f"{modes.count('traditional')} traditional)",
     ]
-    for i, record in enumerate(intervals):
+    for i, event in enumerate(exits):
+        d = event.data
+        entry = d["entry_cycle"]
         lines.append(
-            f"  [{i:3d}] {record.kind:11s} cycles "
-            f"{record.entry_cycle}..{record.exit_cycle} "
-            f"({record.cycles}) misses={record.misses_generated} "
-            f"uops={record.uops_executed}"
-            + (" (chain cache)" if record.used_chain_cache else "")
+            f"  [{i:3d}] {d['mode']:11s} cycles {entry}..{event.cycle} "
+            f"({event.cycle - entry}) misses={d['misses_generated']} "
+            f"uops={d['pseudo_retired']}"
+            + (" (chain cache)" if d["used_chain_cache"] else "")
         )
     return "\n".join(lines)

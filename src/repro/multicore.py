@@ -34,9 +34,9 @@ from typing import Callable, Optional, Sequence, Union
 from .config import (SystemConfig, assert_shared_geometry,
                      build_named_config, default_system)
 from .core.processor import Processor, _WATCHDOG_CYCLES
-from .core.sim import _resolve_workload
+from .core.sim import _finish, _resolve_workload
 from .core.stats import SimStats
-from .energy import EnergyModel, EnergyReport
+from .energy import EnergyReport
 from .memory import MemoryHierarchy, SharedLLC
 
 __all__ = ["CoreSpec", "MulticoreResult", "System", "simulate_multicore"]
@@ -140,8 +140,7 @@ class System:
             heapq.heappush(heap, (core.now, idx))
         stats = []
         for core in self.cores:
-            if core.ra_policy.current is not None:
-                core._finish_interval()
+            core._close_interval()
             stats.append(core._finalize_stats())
         return stats
 
@@ -163,7 +162,7 @@ class System:
                 "ipc": core.committed / core.now if core.now else 0.0,
                 "progress_share": core.committed / total_committed,
                 "mshr_rejections": core.hierarchy.mshr_rejections,
-                "runahead": core.ra_policy.fairness_summary(),
+                "runahead": _runahead_profile(core),
             }
             for idx, core in enumerate(self.cores)
         ]
@@ -176,6 +175,31 @@ class System:
         from .fastpath import stats_fingerprint
         return [stats_fingerprint(core.stats.to_dict(), None)
                 for core in self.cores]
+
+
+def _runahead_profile(core: Processor) -> dict:
+    """One core's runahead activity for fairness reporting: how often
+    and how long it ran ahead, by mode, and how many entries its
+    filters blocked."""
+    s = core.stats
+    policy = core.members[0]
+    by_kind = {}
+    for kind, intervals, cycles, misses in (
+            ("buffer", s.rab_intervals, s.cycles_in_rab,
+             s.runahead_misses_rab),
+            ("traditional", s.traditional_intervals,
+             s.cycles_in_traditional, s.runahead_misses_traditional)):
+        if intervals:
+            by_kind[kind] = {"intervals": intervals, "cycles": cycles,
+                             "misses_per_interval": misses / intervals}
+    return {
+        "intervals": s.runahead_intervals,
+        "runahead_cycles": s.cycles_in_rab + s.cycles_in_traditional,
+        "by_kind": by_kind,
+        "entries_blocked_short": policy.entries_blocked_short,
+        "entries_blocked_overlap": policy.entries_blocked_overlap,
+        "entries_blocked_no_chain": policy.entries_blocked_no_chain,
+    }
 
 
 def simulate_multicore(
@@ -243,12 +267,7 @@ def simulate_multicore(
     if attach is not None:
         attach(system)
     per_core = system.run(max_instructions, max_cycles=max_cycles)
-    energy = []
-    for spec, cfg, stats in zip(specs, cfg_list, per_core):
-        stats.config_name = spec.config_name or stats.config_name
-        model = EnergyModel(cfg.energy, cfg.core.clock_ghz)
-        report = model.compute(stats.energy_events, stats.cycles)
-        stats.energy_report = report.to_dict()
-        energy.append(report)
+    energy = [_finish(stats, cfg, spec.config_name)
+              for spec, cfg, stats in zip(specs, cfg_list, per_core)]
     return MulticoreResult(per_core=per_core, energy=energy,
                            shared=system.shared_stats(), system=system)

@@ -115,14 +115,11 @@ class Tracer:
                 mode = "buffer" if proc.mode == "rab" else "traditional"
                 blocking_pc = proc._blocking_pc
                 orig_exit(now)
-                record = proc.ra_policy.last_interval
-                assert record is not None
+                entry, _exit, misses, retired, used_cc = proc.last_interval
                 emit("runahead_exit", now, mode=mode,
-                     blocking_pc=blocking_pc,
-                     entry_cycle=record.entry_cycle,
-                     misses_generated=record.misses_generated,
-                     pseudo_retired=record.uops_executed,
-                     used_chain_cache=record.used_chain_cache)
+                     blocking_pc=blocking_pc, entry_cycle=entry,
+                     misses_generated=misses, pseudo_retired=retired,
+                     used_chain_cache=used_cc)
 
             self._shadow(proc, "_exit_runahead", exit_runahead)
 

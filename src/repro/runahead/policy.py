@@ -4,9 +4,21 @@ The evaluated runahead configurations differ only in how the core
 decides to enter runahead at a full-window stall: traditional runahead
 or the buffer, the chain cache, the hybrid fallback (Fig. 8) and the
 Mutlu filters.  An :class:`EntryPolicy` holds what one configuration
-owns on its own: its filter, hybrid and chain-cache-accuracy counters
-(:class:`~repro.runahead.RunaheadPolicyState`), its chain cache, and its
-chain-generation statistics and energy events.
+owns on its own: its decisions' counters, its chain cache, and its
+chain-generation statistics and energy events.  The intervals it enters
+belong to the simulated trajectory and live on the
+:class:`~repro.core.Processor`.
+
+The filters are the two hardware-controlled entry rules from Mutlu et
+al. (ISCA'05) that the paper adopts as "Runahead Enhancements" (§4.6):
+
+* **Policy 1 (short intervals)** — enter only if the blocking operation
+  was issued to memory fewer than ``enhancement_distance`` (250)
+  instructions ago; otherwise most of the miss latency has already
+  elapsed and the interval would be too short to be useful.
+* **Policy 2 (overlapping intervals)** — enter only if execution has
+  passed the furthest point reached by the previous runahead interval,
+  so runahead does not re-discover the same misses.
 
 A :class:`~repro.core.Processor` asks each of its member policies for a
 :data:`Decision` at every entry candidate.  Members whose decisions take
@@ -22,7 +34,6 @@ from typing import NamedTuple, Optional, Union
 from ..config import RunaheadConfig, RunaheadMode
 from .chain import ChainGenResult, ChainUop, chain_signature
 from .chain_cache import ChainCache
-from .state import RunaheadPolicyState
 
 #: The decision to enter traditional runahead.
 TRADITIONAL = "traditional"
@@ -58,7 +69,6 @@ class EntryPolicy:
     def __init__(self, config: RunaheadConfig) -> None:
         self.config = config
         self.mode = config.mode
-        self.state = RunaheadPolicyState(config)
         self.chain_cache = ChainCache(config.chain_cache_entries) if (
             config.mode in (RunaheadMode.BUFFER_CHAIN_CACHE,
                             RunaheadMode.HYBRID)) else None
@@ -66,6 +76,14 @@ class EntryPolicy:
         # chain Algorithm 1 would generate (analysis only).
         self._check_hits = (config.collect_chain_stats
                             and self.chain_cache is not None)
+        # Entries declined by Policy 1, by Policy 2, and for want of a
+        # usable chain.
+        self.entries_blocked_short = 0
+        self.entries_blocked_overlap = 0
+        self.entries_blocked_no_chain = 0
+        # Chain-cache hits checked against Algorithm 1, and the exact ones.
+        self.cc_hits_checked = 0
+        self.cc_hits_exact = 0
         self.chain_generations = 0
         self.chain_gen_cycles = 0
         # Cold-path energy events in first-occurrence order: this
@@ -73,17 +91,34 @@ class EntryPolicy:
         # checkpoints of the intervals it entered.
         self.ev: dict[str, int] = {}
 
+    def enhancements_allow(self, committed: int, miss_issue_retired: int,
+                           furthest: int) -> bool:
+        """Apply Policies 1 and 2 and count a blocked entry.  The blocking
+        miss went to memory when ``miss_issue_retired`` instructions had
+        committed (-1: unknown); ``furthest`` is the furthest program
+        point a closed interval reached."""
+        if miss_issue_retired >= 0:
+            distance = committed - miss_issue_retired
+            if distance >= self.config.enhancement_distance:
+                self.entries_blocked_short += 1
+                return False
+        if committed <= furthest:
+            self.entries_blocked_overlap += 1
+            return False
+        return True
+
     def decide(self, proc, head) -> Decision:
         """This configuration's decision for ``head``, an entry candidate
         whose remaining stall already passed the minimum interval.
         ``proc`` (the :class:`~repro.core.Processor`) supplies the
-        committed count and Algorithm 1, which it runs at most once per
-        decision point however many members ask."""
-        state = self.state
+        committed count, Policy 2's furthest point and Algorithm 1, which
+        it runs at most once per decision point however many members
+        ask."""
         mode = self.mode
         if self.config.enhancements and mode is not RunaheadMode.HYBRID:
-            if not state.enhancements_allow(proc.committed,
-                                            head.miss_issue_retired):
+            if not self.enhancements_allow(proc.committed,
+                                           head.miss_issue_retired,
+                                           proc.furthest_instruction):
                 return None
         if mode is RunaheadMode.TRADITIONAL:
             return TRADITIONAL
@@ -102,10 +137,10 @@ class EntryPolicy:
                 used_cc = True
                 if self._check_hits:
                     fresh = proc._algorithm1(head)
-                    state.cc_hits_checked += 1
+                    self.cc_hits_checked += 1
                     if fresh.usable and (chain_signature(fresh.chain)
                                          == chain_signature(cached)):
-                        state.cc_hits_exact += 1
+                        self.cc_hits_exact += 1
         if chain is None:
             result = proc._generate_chain(head)
             self._note_generation(result)
@@ -114,25 +149,20 @@ class EntryPolicy:
                 if not result.found_pc or result.hit_cap:
                     # Fig. 8 fallback: traditional runahead (gated by the
                     # enhancement filters, which the hybrid policy uses).
-                    if state.enhancements_allow(proc.committed,
-                                                head.miss_issue_retired):
-                        state.hybrid_traditional_entries += 1
+                    if self.enhancements_allow(proc.committed,
+                                               head.miss_issue_retired,
+                                               proc.furthest_instruction):
                         return TRADITIONAL
                     return None
-                chain = result.chain
-                state.hybrid_chain_entries += 1
-            else:
-                if not result.usable:
-                    state.entries_blocked_no_chain += 1
-                    return None
-                chain = result.chain
+            elif not result.usable:
+                self.entries_blocked_no_chain += 1
+                return None
+            chain = result.chain
             if cache is not None and chain:
                 cache.insert(head.pc, chain)
                 ev["chain_cache_write"] = ev.get("chain_cache_write", 0) + 1
-        elif mode is RunaheadMode.HYBRID:
-            state.hybrid_cc_entries += 1
         if not chain:
-            state.entries_blocked_no_chain += 1
+            self.entries_blocked_no_chain += 1
             return None
         return BufferEntry(chain, gen_cycles, used_cc)
 
@@ -147,13 +177,7 @@ class EntryPolicy:
         ev["sq_cam"] = ev.get("sq_cam", 0) + result.sq_searches
         ev["rob_read"] = ev.get("rob_read", 0) + len(result.chain)
 
-    def enter(self, decision: Decision, now: int) -> None:
-        """Open the interval ``decision`` (an entry) began at ``now``."""
+    def enter(self) -> None:
+        """Count the checkpoint of an interval this policy entered."""
         ev = self.ev
         ev["checkpoint"] = ev.get("checkpoint", 0) + 1
-        if decision is TRADITIONAL:
-            self.state.begin_interval("traditional", now)
-        else:
-            self.state.begin_interval(
-                "buffer", now, chain_gen_cycles=decision.gen_cycles,
-                used_chain_cache=decision.used_cc)

@@ -23,10 +23,11 @@ cycles jumped), so the checks see every state the core passes through
   checkpoint, the runahead buffer is inactive, no ROB uop carries
   runahead/poison provenance, and no RAT- or commit-RAT-visible physical
   register has its poison bit set;
-* **Interval sanity** — a runahead mode implies an open interval record
-  whose ``entry_cycle <= now``, with the scheduled exit no earlier than
-  the entry (``exit_cycle >= entry_cycle``, the inversion that
-  ``IntervalRecord.cycles`` used to clamp away).
+* **Interval sanity** — a runahead mode implies an open interval (the
+  processor's ``_interval_entry``) whose entry cycle is not in the
+  future, with the scheduled exit no earlier than the entry; and the
+  last closed interval (``Processor.last_interval``) does not exit
+  before it entered.
 """
 
 from __future__ import annotations
@@ -133,7 +134,6 @@ class InvariantChecker:
         if in_ra != proc._in_ra:
             self._fail(f"_in_ra={proc._in_ra} inconsistent with mode={mode}")
 
-        current = proc.ra_policy.current
         if not in_ra:
             # No runahead-poisoned state may be visible after exit.
             if proc._checkpoint is not None:
@@ -161,26 +161,23 @@ class InvariantChecker:
                                f"R{arch}")
         else:
             # Interval accounting sanity.
-            if current is None:
-                self._fail("in a runahead mode with no open interval record")
-            if current.entry_cycle > proc.now:
-                self._fail(
-                    f"interval entry_cycle={current.entry_cycle} is in the "
-                    f"future")
-            if proc._exit_cycle < current.entry_cycle:
+            entry = proc._interval_entry
+            if entry < 0:
+                self._fail("in a runahead mode with no open interval")
+            if entry > proc.now:
+                self._fail(f"interval entry_cycle={entry} is in the future")
+            if proc._exit_cycle < entry:
                 self._fail(
                     f"scheduled exit_cycle={proc._exit_cycle} precedes "
-                    f"entry_cycle={current.entry_cycle}")
+                    f"entry_cycle={entry}")
             if proc._checkpoint is None:
                 self._fail("in a runahead mode without a checkpoint")
 
-        intervals = proc.ra_policy.intervals
-        if intervals:
-            record = intervals[-1]
-            if record.exit_cycle < record.entry_cycle:
-                self._fail(
-                    f"recorded interval inverted: exit={record.exit_cycle} "
-                    f"< entry={record.entry_cycle}")
+        if proc.last_interval is not None:
+            entry, exit_cycle = proc.last_interval[:2]
+            if exit_cycle < entry:
+                self._fail(f"closed interval inverted: exit={exit_cycle} "
+                           f"< entry={entry}")
 
 
 def attach_invariant_checker(processor: Processor, every: int = 1,

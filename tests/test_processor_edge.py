@@ -7,6 +7,7 @@ from repro import DataMemory, Interpreter, ProgramBuilder
 from repro.config import RunaheadMode, default_system, make_config
 from repro.core import Processor
 from repro.isa import NUM_ARCH_REGS
+from repro.obs import Tracer
 from repro.workloads import gather
 
 from util import build_counted_loop
@@ -146,7 +147,7 @@ class TestRunaheadEdgeCases:
         proc = Processor(wl.program, make_config(RunaheadMode.BUFFER),
                          memory=wl.memory)
         stats = proc.run(300)   # small budget: likely stops mid-interval
-        assert proc.ra_policy.current is None
+        assert proc._interval_entry == -1
         assert stats.cycles_in_rab <= stats.cycles
 
     def test_runahead_disabled_never_enters(self):
@@ -164,11 +165,13 @@ class TestRunaheadEdgeCases:
                          make_config(RunaheadMode.BUFFER_CHAIN_CACHE),
                          memory=wl.memory)
         proc.warm_up(1000)
+        tracer = Tracer(kinds=["runahead_exit"])
+        tracer.attach(proc)
         stats = proc.run(4000)
         assert stats.rab_intervals >= 3
-        records = proc.ra_policy.intervals
-        for earlier, later in zip(records, records[1:]):
-            assert later.entry_cycle >= earlier.exit_cycle
+        exits = tracer.trace.events("runahead_exit")
+        for earlier, later in zip(exits, exits[1:]):
+            assert later.data["entry_cycle"] >= earlier.cycle
 
     def test_halt_reached_with_runahead_enabled(self):
         program = build_counted_loop(200)

@@ -11,6 +11,7 @@ import pytest
 from repro import DataMemory, Interpreter, ProgramBuilder
 from repro.config import RunaheadMode, make_config
 from repro.core import Processor
+from repro.obs import Tracer
 from repro.workloads import gather, hash_probe, linked_list, streaming
 
 
@@ -19,11 +20,14 @@ def gather_workload():
                   data_region_bytes=32 << 20, deref_depth=1, filler_int=4)
 
 
-def run_mode(workload_fn, mode, insts=3000, warmup=2000, **cfg_kwargs):
+def run_mode(workload_fn, mode, insts=3000, warmup=2000, attach=None,
+             **cfg_kwargs):
     wl = workload_fn()
     cfg = make_config(mode, **cfg_kwargs)
     proc = Processor(wl.program, cfg, memory=wl.memory)
     proc.warm_up(warmup)
+    if attach is not None:
+        attach(proc)
     stats = proc.run(insts)
     return proc, stats
 
@@ -200,11 +204,16 @@ class TestHybrid:
 
 class TestExitBehaviour:
     def test_mode_returns_to_normal(self):
-        proc, stats = run_mode(gather_workload, RunaheadMode.BUFFER)
-        # After the run the policy has closed all intervals.
-        assert proc.ra_policy.current is None or proc.mode != "normal"
-        for record in proc.ra_policy.intervals:
-            assert record.exit_cycle >= record.entry_cycle
+        tracer = Tracer(kinds=["runahead_exit"])
+        proc, stats = run_mode(gather_workload, RunaheadMode.BUFFER,
+                               attach=tracer.attach)
+        # After the run the core has closed all intervals.
+        assert proc._interval_entry < 0 or proc.mode != "normal"
+        closed = [(e.data["entry_cycle"], e.cycle)
+                  for e in tracer.trace.events("runahead_exit")]
+        closed.append(proc.last_interval[:2])
+        for entry, exit_cycle in closed:
+            assert exit_cycle >= entry
 
     def test_interval_cycles_accounted(self):
         _, stats = run_mode(gather_workload, RunaheadMode.BUFFER)

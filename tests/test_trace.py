@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import RunaheadMode, default_system, make_config
 from repro.core import CommitTrace, Processor, render_interval_timeline
-from repro.runahead import IntervalRecord
+from repro.obs import TraceEvent
 from repro.workloads import gather
 
 from util import build_counted_loop
@@ -94,16 +94,16 @@ class TestCommitTrace:
 
 
 class TestIntervalTimeline:
-    def _record(self, kind, entry, exit_cycle, misses=0):
-        r = IntervalRecord(kind=kind, entry_cycle=entry)
-        r.exit_cycle = exit_cycle
-        r.misses_generated = misses
-        return r
+    def _exit(self, mode, entry, exit_cycle, misses=0):
+        return TraceEvent("runahead_exit", exit_cycle, {
+            "mode": mode, "blocking_pc": 0, "entry_cycle": entry,
+            "misses_generated": misses, "pseudo_retired": 0,
+            "used_chain_cache": False})
 
     def test_marks_modes(self):
         timeline = render_interval_timeline(
-            [self._record("buffer", 0, 100),
-             self._record("traditional", 500, 600)],
+            [self._exit("buffer", 0, 100),
+             self._exit("traditional", 500, 600)],
             total_cycles=1000, width=40)
         lane = timeline.split("\n")[1]
         assert "B" in lane and "T" in lane and "." in lane
@@ -121,14 +121,14 @@ class TestIntervalTimeline:
     def test_single_cycle_interval(self):
         """entry == exit must render one mark, not crash or mark nothing."""
         timeline = render_interval_timeline(
-            [self._record("buffer", 250, 250)], total_cycles=1000, width=40)
+            [self._exit("buffer", 250, 250)], total_cycles=1000, width=40)
         lane = timeline.split("\n")[1]
         assert lane.count("B") == 1
         assert "cycles 250..250 (0)" in timeline
 
     def test_interval_at_final_cycle_stays_in_lane(self):
         timeline = render_interval_timeline(
-            [self._record("traditional", 999, 1000)],
+            [self._exit("traditional", 999, 1000)],
             total_cycles=1000, width=40)
         lane = timeline.split("\n")[1]
         assert lane[-1] == "T"
@@ -136,13 +136,13 @@ class TestIntervalTimeline:
 
     def test_summary_counts(self):
         timeline = render_interval_timeline(
-            [self._record("buffer", 0, 10),
-             self._record("buffer", 20, 30),
-             self._record("traditional", 40, 50)],
+            [self._exit("buffer", 0, 10),
+             self._exit("buffer", 20, 30),
+             self._exit("traditional", 40, 50)],
             total_cycles=100)
         assert "3 intervals (2 buffer, 1 traditional)" in timeline
 
     def test_interval_details_listed(self):
         timeline = render_interval_timeline(
-            [self._record("buffer", 5, 25, misses=7)], total_cycles=100)
+            [self._exit("buffer", 5, 25, misses=7)], total_cycles=100)
         assert "misses=7" in timeline

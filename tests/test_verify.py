@@ -214,10 +214,7 @@ class TestInvariantChecker:
         proc = self._proc()
         checker = attach_invariant_checker(proc)
         proc.run(200)
-        proc.ra_policy.begin_interval("traditional", now=100)
-        proc.ra_policy.end_interval(now=100, committed_total=0,
-                                    pseudo_retired=0)
-        proc.ra_policy.intervals[-1].exit_cycle = 40
+        proc.last_interval = (100, 40, 0, 0, False)
         with pytest.raises(InvariantError, match="inverted"):
             checker.check_now()
 
