@@ -21,14 +21,13 @@ def sweep():
     return {point.value: point.speedup_pct for point in points}
 
 
-def test_buffer_size_sweep(sweep, publish, benchmark):
+def test_buffer_size_sweep(sweep, publish):
     from repro.analysis import Table
     table = Table("Ablation: runahead buffer size (gmean % IPC vs baseline)",
                   ["buffer_uops", "speedup_pct"])
     for size in SIZES:
         table.add(size, sweep[size])
     publish(table, "ablation_buffer_size.txt")
-    benchmark(lambda: dict(sweep))
 
     # The paper's operating point is a sensible choice: 32 is at least as
     # good as the small buffers, and 64 adds little beyond 32.

@@ -23,13 +23,12 @@ def cache_sweep():
     return _gmean_speedups(chain_cache_sweep, (1, 2, 4, 8))
 
 
-def test_chain_cache_size_sweep(cache_sweep, publish, benchmark):
+def test_chain_cache_size_sweep(cache_sweep, publish):
     table = Table("Ablation: chain cache entries (gmean % IPC vs baseline)",
                   ["entries", "speedup_pct"])
     for n, v in cache_sweep.items():
         table.add(n, v)
     publish(table, "ablation_chain_cache.txt")
-    benchmark(lambda: dict(cache_sweep))
 
     # The tiny cache already captures the benefit (stable blocking PCs);
     # growing it further changes little.
@@ -43,14 +42,13 @@ def search_sweep():
     return _gmean_speedups(search_bandwidth_sweep, (1, 2, 4))
 
 
-def test_search_bandwidth_sweep(search_sweep, publish, benchmark):
+def test_search_bandwidth_sweep(search_sweep, publish):
     table = Table(
         "Ablation: dest-reg CAM searches/cycle (gmean % IPC vs baseline)",
         ["searches_per_cycle", "speedup_pct"])
     for n, v in search_sweep.items():
         table.add(n, v)
     publish(table, "ablation_search_bandwidth.txt")
-    benchmark(lambda: dict(search_sweep))
 
     # Chain generation latency is tiny relative to an interval, and the
     # chain cache removes most generations: bandwidth barely matters.

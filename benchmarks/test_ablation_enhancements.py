@@ -38,14 +38,12 @@ def results():
             for label in VARIANTS if label != "baseline"}
 
 
-def test_enhancements_matter_less_for_the_buffer(results, publish,
-                                                 benchmark):
+def test_enhancements_matter_less_for_the_buffer(results, publish):
     table = Table("Ablation: ISCA'05 enhancements (gmean % energy vs "
                   "baseline)", ["config", "energy_pct"])
     for label, value in results.items():
         table.add(label, value)
     publish(table, "ablation_enhancements.txt")
-    benchmark(lambda: dict(results))
 
     effect_on_runahead = results["runahead"] - results["runahead_enh"]
     effect_on_rab = abs(results["rab"] - results["rab_enh"])

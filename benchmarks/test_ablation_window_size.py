@@ -43,14 +43,13 @@ def sweep():
                   speedup(rob, RunaheadMode.BUFFER)) for rob in ROB_SIZES}
 
 
-def test_window_size_sweep(sweep, publish, benchmark):
+def test_window_size_sweep(sweep, publish):
     table = Table("Ablation: ROB size vs runahead benefit "
                   "(gmean % IPC over same-ROB baseline)",
                   ["rob_size", "runahead_pct", "rab_pct"])
     for rob in ROB_SIZES:
         table.add(rob, *sweep[rob])
     publish(table, "ablation_window_size.txt")
-    benchmark(lambda: dict(sweep))
 
     # Runahead helps at every window size on the gather set.
     for rob in ROB_SIZES:

@@ -9,10 +9,9 @@ from repro.analysis import figures
 from repro.workloads import names_by_intensity
 
 
-def test_fig01_memory_stalls(matrix, publish, benchmark):
+def test_fig01_memory_stalls(matrix, publish):
     table = figures.fig01_memory_stalls(matrix)
     publish(table, "fig01_memory_stalls.txt")
-    benchmark(lambda: figures.fig01_memory_stalls(matrix))
 
     rows = table.row_map()
     high = names_by_intensity("high")

@@ -9,10 +9,9 @@ from repro.analysis import figures
 from repro.workloads import medium_high_names
 
 
-def test_fig02_source_on_chip(matrix, publish, benchmark):
+def test_fig02_source_on_chip(matrix, publish):
     table = figures.fig02_source_on_chip(matrix)
     publish(table, "fig02_source_on_chip.txt")
-    benchmark(lambda: figures.fig02_source_on_chip(matrix))
 
     rows = table.row_map()
     analyzed = {n: rows[n][2] for n in medium_high_names()}

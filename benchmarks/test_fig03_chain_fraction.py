@@ -9,10 +9,9 @@ the filtered runahead buffer.
 from repro.analysis import figures
 
 
-def test_fig03_chain_fraction(matrix, publish, benchmark):
+def test_fig03_chain_fraction(matrix, publish):
     table = figures.fig03_chain_fraction(matrix)
     publish(table, "fig03_chain_fraction.txt")
-    benchmark(lambda: figures.fig03_chain_fraction(matrix))
 
     rows = {r[0]: r for r in table.rows}
     measured = {n: row[1] for n, row in rows.items() if row[2] > 100}

@@ -8,10 +8,9 @@ runahead buffer is built on.
 from repro.analysis import figures
 
 
-def test_fig04_chain_repetition(matrix, publish, benchmark):
+def test_fig04_chain_repetition(matrix, publish):
     table = figures.fig04_chain_repetition(matrix)
     publish(table, "fig04_chain_repetition.txt")
-    benchmark(lambda: figures.fig04_chain_repetition(matrix))
 
     rows = {r[0]: r for r in table.rows}
     # Only judge benchmarks with a meaningful number of chains.

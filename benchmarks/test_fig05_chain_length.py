@@ -8,10 +8,9 @@ runahead buffer; mcf/libquantum/bwaves/soplex are under 20.
 from repro.analysis import figures
 
 
-def test_fig05_chain_length(matrix, publish, benchmark):
+def test_fig05_chain_length(matrix, publish):
     table = figures.fig05_chain_length(matrix)
     publish(table, "fig05_chain_length.txt")
-    benchmark(lambda: figures.fig05_chain_length(matrix))
 
     rows = {r[0]: r for r in table.rows}
     measured = {n: row[1] for n, row in rows.items()

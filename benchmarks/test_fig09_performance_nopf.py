@@ -10,10 +10,9 @@ Paper claims (medium+high gmean over the no-PF baseline):
 from repro.analysis import figures
 
 
-def test_fig09_performance_nopf(matrix, publish, benchmark):
+def test_fig09_performance_nopf(matrix, publish):
     table = figures.fig09_performance_nopf(matrix)
     publish(table, "fig09_performance_nopf.txt")
-    benchmark(lambda: figures.fig09_performance_nopf(matrix))
 
     rows = table.row_map()
     gmean = rows["GMean"]

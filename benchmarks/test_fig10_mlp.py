@@ -10,10 +10,9 @@ large advantage.
 from repro.analysis import figures
 
 
-def test_fig10_mlp(matrix, publish, benchmark):
+def test_fig10_mlp(matrix, publish):
     table = figures.fig10_mlp(matrix)
     publish(table, "fig10_mlp.txt")
-    benchmark(lambda: figures.fig10_mlp(matrix))
 
     avg = table.row_map()["Average"]
     ra, rab, ra_pf, rab_pf = avg[1], avg[2], avg[3], avg[4]

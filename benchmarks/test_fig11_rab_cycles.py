@@ -8,10 +8,9 @@ source of the buffer's dynamic-energy savings.
 from repro.analysis import figures
 
 
-def test_fig11_rab_cycles(matrix, publish, benchmark):
+def test_fig11_rab_cycles(matrix, publish):
     table = figures.fig11_rab_cycles(matrix)
     publish(table, "fig11_rab_cycles.txt")
-    benchmark(lambda: figures.fig11_rab_cycles(matrix))
 
     rows = table.row_map()
     average = rows["Average"][1]

@@ -8,10 +8,9 @@ so benchmarks whose blocking PCs rotate across many static loads miss.
 from repro.analysis import figures
 
 
-def test_fig12_chain_cache_hits(matrix, publish, benchmark):
+def test_fig12_chain_cache_hits(matrix, publish):
     table = figures.fig12_chain_cache_hits(matrix)
     publish(table, "fig12_chain_cache_hits.txt")
-    benchmark(lambda: figures.fig12_chain_cache_hits(matrix))
 
     rows = table.row_map()
     # The single-delinquent-load gathers hit nearly always.

@@ -8,10 +8,9 @@ speculation that an old chain is better than paying generation latency.
 from repro.analysis import figures
 
 
-def test_fig13_chain_cache_accuracy(matrix, publish, benchmark):
+def test_fig13_chain_cache_accuracy(matrix, publish):
     table = figures.fig13_chain_cache_accuracy(matrix)
     publish(table, "fig13_chain_cache_accuracy.txt")
-    benchmark(lambda: figures.fig13_chain_cache_accuracy(matrix))
 
     rows = table.row_map()
     measured = {n: r[1] for n, r in rows.items()

@@ -8,10 +8,9 @@ the chain-hostile benchmarks (omnetpp most of the time).
 from repro.analysis import figures
 
 
-def test_fig14_hybrid_split(matrix, publish, benchmark):
+def test_fig14_hybrid_split(matrix, publish):
     table = figures.fig14_hybrid_split(matrix)
     publish(table, "fig14_hybrid_split.txt")
-    benchmark(lambda: figures.fig14_hybrid_split(matrix))
 
     rows = table.row_map()
     # The hybrid favours the buffer overall (paper: 71%).

@@ -12,10 +12,9 @@ of leading it; traditional runahead + pf preserves the paper's ordering.
 from repro.analysis import figures
 
 
-def test_fig15_performance_pf(matrix, publish, benchmark):
+def test_fig15_performance_pf(matrix, publish):
     table = figures.fig15_performance_pf(matrix)
     publish(table, "fig15_performance_pf.txt")
-    benchmark(lambda: figures.fig15_performance_pf(matrix))
 
     rows = table.row_map()
     gmean = rows["GMean"]

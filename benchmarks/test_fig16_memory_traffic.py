@@ -10,10 +10,9 @@ that (+9%); the stream prefetcher is by far the most traffic-hungry
 from repro.analysis import figures
 
 
-def test_fig16_memory_traffic(matrix, publish, benchmark):
+def test_fig16_memory_traffic(matrix, publish):
     table = figures.fig16_memory_traffic(matrix)
     publish(table, "fig16_memory_traffic.txt")
-    benchmark(lambda: figures.fig16_memory_traffic(matrix))
 
     rows = table.row_map()
     gmean = rows["GMean"]

@@ -10,10 +10,9 @@ traditional mode.
 from repro.analysis import figures
 
 
-def test_fig17_energy_nopf(matrix, publish, benchmark):
+def test_fig17_energy_nopf(matrix, publish):
     table = figures.fig17_energy_nopf(matrix)
     publish(table, "fig17_energy_nopf.txt")
-    benchmark(lambda: figures.fig17_energy_nopf(matrix))
 
     gmean = table.row_map()["GMean"]
     runahead, runahead_enh, rab, rab_cc, hybrid = gmean[1:6]

@@ -10,10 +10,9 @@ schemes, and traditional runahead+pf is the least efficient.
 from repro.analysis import figures
 
 
-def test_fig18_energy_pf(matrix, publish, benchmark):
+def test_fig18_energy_pf(matrix, publish):
     table = figures.fig18_energy_pf(matrix)
     publish(table, "fig18_energy_pf.txt")
-    benchmark(lambda: figures.fig18_energy_pf(matrix))
 
     gmean = table.row_map()["GMean"]
     pf, ra_pf, ra_enh_pf, rab_pf, rab_cc_pf, hybrid_pf = gmean[1:7]

@@ -8,10 +8,9 @@ factors), not absolute numbers.
 from repro.analysis import figures
 
 
-def test_headline_summary(matrix, publish, benchmark):
+def test_headline_summary(matrix, publish):
     table = figures.headline_summary(matrix)
     publish(table, "headline_summary.txt")
-    benchmark(lambda: figures.headline_summary(matrix))
 
     measured = {row[0]: row[1] for row in table.rows}
 

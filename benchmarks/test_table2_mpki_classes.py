@@ -9,10 +9,9 @@ from repro.analysis import figures
 from repro.workloads import intensity_of, workload_names
 
 
-def test_table2_mpki_classes(matrix, publish, benchmark):
+def test_table2_mpki_classes(matrix, publish):
     table = figures.table2_mpki_classes(matrix)
     publish(table, "table2_mpki_classes.txt")
-    benchmark(lambda: figures.table2_mpki_classes(matrix))
 
     mismatches = []
     for name, mpki, measured, registered in table.rows:

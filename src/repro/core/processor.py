@@ -68,6 +68,12 @@ from .stats import ChainAnalysis, SimStats
 _WATCHDOG_CYCLES = 1_000_000
 # "No such cycle" for the clock's wake-up candidates.
 _NEVER = 1 << 62
+# Energy events reported even at a count of 0: the memory side's always,
+# and those a chain generation adds to once one has run.
+_ALWAYS_SHOWN = frozenset(("l1i_access", "l1d_access", "llc_access",
+                           "dram_access", "dram_activate"))
+_SHOWN_AFTER_CHAINS = _ALWAYS_SHOWN | {"pc_cam", "destreg_cam", "sq_cam",
+                                       "rob_read"}
 
 
 class Processor:
@@ -216,12 +222,12 @@ class Processor:
         lat[CLS_FDIV] = core.latency_fdiv
         self._lat_by_cls = lat
 
-        # Hot energy-event counters, folded into plain ints (merged with
-        # the ``ev`` dict in _finalize_stats).  Cumulative across run()
-        # calls, exactly like the dict entries they replace.
+        # Hot energy-event counters: each is the only count of its fact.
+        # Events another counter already counts (commits, runahead-cache
+        # and chain-cache accesses, checkpoints) are priced from that
+        # counter in _member_fields.  Cumulative across run() calls.
         self._ev_prf_write = 0
         self._ev_rs_wakeup = 0
-        self._ev_rob_read = 0
         self._ev_issue = 0
         self._ev_agu = 0
         self._ev_alu = 0
@@ -229,8 +235,6 @@ class Processor:
         self._ev_rename = 0
         self._ev_rab_read = 0
         self._ev_fetch = 0
-        self._ev_decode = 0
-        self._ev_runahead_cache = 0
         self._ev_fu = [0] * NUM_UOP_CLASSES  # per-class FU activations
 
         # Analytics.
@@ -821,7 +825,6 @@ class Processor:
                 self.store_queue.pop_oldest(uop)
             elif inst.is_load:
                 self.load_queue_used -= 1
-            self._ev_rob_read += 1
             self.committed += 1
             self._last_progress = now
             if self.commit_hook is not None:
@@ -854,7 +857,6 @@ class Processor:
                         and self._ra_cache_enabled):
                     assert uop.mem_addr is not None
                     self.runahead_cache.write(uop.mem_addr, uop.store_data)
-                    self._ev_runahead_cache += 1
                 self.store_queue.pop_oldest(uop)
             elif inst.is_load:
                 self.load_queue_used -= 1
@@ -939,8 +941,6 @@ class Processor:
                     (now + d.gen_cycles, member)
                     for member, d in zip(members, decisions)
                     if d.gen_cycles > gen_cycles]
-        for member in members:
-            member.enter()
 
     def _algorithm1(self, head: InFlightUop) -> ChainGenResult:
         """Algorithm 1 against the stalled ROB, run at most once per
@@ -971,8 +971,10 @@ class Processor:
         self._blocking_pc = head.pc
         self._exit_cycle = head.done_cycle
         self._interval_entry = now
-        self._misses_at_entry = self.stats.runahead_misses_generated
-        self._retired_at_entry = self.stats.runahead_pseudo_retired
+        stats = self.stats
+        self._misses_at_entry = (stats.runahead_misses_rab
+                                 + stats.runahead_misses_traditional)
+        self._retired_at_entry = stats.runahead_pseudo_retired
         self._interval_pseudo_retired_arch = 0
         self._committed_at_entry = self.committed
         self.runahead_cache.clear()
@@ -1048,7 +1050,8 @@ class Processor:
         stats = self.stats
         self.last_interval = (
             entry, self.now,
-            stats.runahead_misses_generated - self._misses_at_entry,
+            stats.runahead_misses_rab + stats.runahead_misses_traditional
+            - self._misses_at_entry,
             stats.runahead_pseudo_retired - self._retired_at_entry,
             self._interval_used_cc)
         self._interval_entry = -1
@@ -1249,7 +1252,6 @@ class Processor:
             return t_access + self._l1d_latency
         if in_runahead and self._ra_cache_enabled:
             cached = self.runahead_cache.read(addr)
-            self._ev_runahead_cache += 1
             if cached is not None:
                 uop.value = cached
                 return t_access + self._l1d_latency
@@ -1274,7 +1276,6 @@ class Processor:
                 uop.poisoned = True
                 self.stats.inv_ops += 1
                 if access.level == "DRAM" and not access.merged:
-                    self.stats.runahead_misses_generated += 1
                     if self.mode == "rab":
                         self.stats.runahead_misses_rab += 1
                     else:
@@ -1449,7 +1450,6 @@ class Processor:
         ready_at = now + self._fetch_to_rename
         n = len(group)
         self._ev_fetch += n
-        self._ev_decode += n
         append = self.decode_queue.append
         for fetched in group:
             append((ready_at, fetched))
@@ -1508,11 +1508,13 @@ class Processor:
                 s.prefetches_issued = h.prefetcher.stats.issued
                 s.prefetches_useful = h.prefetcher.stats.useful
         s.rab_iterations = self.rab.iterations_started
-        # These stats are always-equal mirrors of the folded counters.
+        # These stats mirror the one counter that counts each fact.
         s.dispatched_uops = self._ev_rename
         s.issued_uops = self._ev_issue
         s.fetched_uops = self._ev_fetch
         s.runahead_intervals = s.rab_intervals + s.traditional_intervals
+        s.runahead_misses_generated = (s.runahead_misses_rab
+                                       + s.runahead_misses_traditional)
         return self._member_fields(s, self.members[0])
 
     def attached(self) -> list[bool]:
@@ -1547,7 +1549,10 @@ class Processor:
     def _member_fields(self, s: SimStats, member: EntryPolicy) -> SimStats:
         """Set the fields ``member``'s entry policy owns on ``s``: its
         filter, chain-cache and chain-generation counters, its energy
-        events, and ``chains`` if it collects chain statistics."""
+        events, and ``chains`` if it collects chain statistics.
+
+        This is the one place that maps counters to energy events: each
+        event is priced from the one counter that counts it."""
         s.entries_blocked_enh = (
             member.entries_blocked_short + member.entries_blocked_overlap
         )
@@ -1563,41 +1568,46 @@ class Processor:
             s.chains = (self.tracker.analysis
                         if member.config.collect_chain_stats
                         else ChainAnalysis())
-        # Energy events: the policy's cold-path events plus the core's
-        # hot counters (folded into int attributes during simulation)
-        # and the memory-side structures.  All are cumulative, so
-        # repeated run() calls stay correct.
-        events = dict(member.ev)
+        # Energy events in one fixed order: front end, back end, runahead,
+        # then the memory side.  All counters are cumulative, so repeated
+        # run() calls stay correct.
         fu = self._ev_fu
         dispatch_n = self._ev_rename
-        for key, count in (
-            ("prf_write", self._ev_prf_write),
+        rc = self.runahead_cache
+        h = self.hierarchy
+        fill_hits = (h._acct.fill_hits if h.is_shared
+                     else h.llc.stats.fill_hits)
+        shown = (_SHOWN_AFTER_CHAINS if member.chain_generations
+                 else _ALWAYS_SHOWN)
+        s.energy_events = {key: count for key, count in (
+            ("fetch", self._ev_fetch),
+            ("decode", self._ev_fetch),
+            ("rename", dispatch_n),
+            ("rs_dispatch", dispatch_n),
+            ("rob_write", dispatch_n),
             ("rs_wakeup", self._ev_rs_wakeup),
-            ("rob_read", self._ev_rob_read),
             ("issue", self._ev_issue),
-            ("agu", self._ev_agu),
+            ("prf_read", self._ev_prf_read),
+            ("prf_write", self._ev_prf_write),
             ("alu", self._ev_alu + fu[CLS_IALU]),
             ("mul", fu[CLS_IMUL]),
             ("div", fu[CLS_IDIV]),
             ("fpu", fu[CLS_FADD] + fu[CLS_FMUL] + fu[CLS_FDIV]),
-            ("prf_read", self._ev_prf_read),
-            ("rename", dispatch_n),
-            ("rs_dispatch", dispatch_n),
-            ("rob_write", dispatch_n),
+            ("agu", self._ev_agu),
+            ("rob_read", self.committed + member.chain_readout),
+            ("pc_cam", member.chain_generations),
+            ("destreg_cam", member.destreg_cam),
+            ("sq_cam", member.sq_cam),
+            ("chain_cache_read", s.chain_cache_hits + s.chain_cache_misses),
+            ("chain_cache_write",
+             cache.insertions if cache is not None else 0),
             ("rab_read", self._ev_rab_read),
-            ("fetch", self._ev_fetch),
-            ("decode", self._ev_decode),
-            ("runahead_cache", self._ev_runahead_cache),
-        ):
-            if count:
-                events[key] = events.get(key, 0) + count
-        events["l1d_access"] = s.l1d_accesses
-        events["l1i_access"] = s.l1i_accesses
-        h = self.hierarchy
-        fill_hits = (h._acct.fill_hits if h.is_shared
-                     else h.llc.stats.fill_hits)
-        events["llc_access"] = s.llc_accesses + fill_hits
-        events["dram_access"] = s.dram_reads + s.dram_writes
-        events["dram_activate"] = s.dram_activates
-        s.energy_events = events
+            ("checkpoint", s.runahead_intervals),
+            ("runahead_cache", rc.writes + rc.hits + rc.misses),
+            ("l1i_access", s.l1i_accesses),
+            ("l1d_access", s.l1d_accesses),
+            ("llc_access", s.llc_accesses + fill_hits),
+            ("dram_access", s.dram_reads + s.dram_writes),
+            ("dram_activate", s.dram_activates),
+        ) if count or key in shown}
         return s

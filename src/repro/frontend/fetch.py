@@ -24,16 +24,13 @@ INST_BYTES = 4
 class FetchedUop:
     """One fetched micro-op plus its control-flow prediction."""
 
-    __slots__ = ("pc", "inst", "predicted_next_pc", "predicted_taken",
-                 "snapshot")
+    __slots__ = ("pc", "inst", "predicted_next_pc", "snapshot")
 
     def __init__(self, pc: int, inst, predicted_next_pc: int,
-                 predicted_taken: bool, snapshot: Optional[PredictorSnapshot]
-                 ) -> None:
+                 snapshot: Optional[PredictorSnapshot]) -> None:
         self.pc = pc
         self.inst = inst
         self.predicted_next_pc = predicted_next_pc
-        self.predicted_taken = predicted_taken
         self.snapshot = snapshot
 
 
@@ -51,7 +48,6 @@ class FetchUnit:
         self.stalled_until = 0       # I-cache miss / redirect penalty
         self.wait_for_redirect = False  # unknown indirect target
         self.halted = False
-        self.fetched_uops = 0
         # Static decode tables (flat per-PC arrays, see Program) plus the
         # byte-address-free PC -> I-cache-line shift: pc * INST_BYTES is a
         # line address shifted by line_bits, so pc >> (line_bits - 2).
@@ -135,7 +131,7 @@ class FetchUnit:
             in_range = 0 <= pc < num_insts
             if in_range and is_halt_at[pc]:
                 self.halted = True
-                append(FetchedUop(pc, insts[pc], pc + 1, False, None))
+                append(FetchedUop(pc, insts[pc], pc + 1, None))
                 break
             if in_range and is_branch_at[pc]:
                 inst = insts[pc]
@@ -145,15 +141,14 @@ class FetchUnit:
                     # Indirect branch with no BTB target: fetch must wait
                     # for the branch to resolve.
                     self.wait_for_redirect = True
-                    append(FetchedUop(pc, inst, -1, taken, snapshot))
+                    append(FetchedUop(pc, inst, -1, snapshot))
                     break
-                append(FetchedUop(pc, inst, target, taken, snapshot))
+                append(FetchedUop(pc, inst, target, snapshot))
                 self.pc = target
                 if taken:
                     break
             else:
                 inst = insts[pc] if in_range else self._nop
-                append(FetchedUop(pc, inst, pc + 1, False, None))
+                append(FetchedUop(pc, inst, pc + 1, None))
                 self.pc = pc + 1
-        self.fetched_uops += len(group)
         return group

@@ -162,7 +162,7 @@ class Instruction:
     """
 
     __slots__ = (
-        "opcode", "rd", "rs1", "rs2", "imm", "target", "uop_class",
+        "opcode", "rd", "rs1", "rs2", "imm", "target",
         # Static decode facts (flat attributes — no properties, no enum
         # hashing on the cycle loop).
         "cls_idx", "port_class",
@@ -191,7 +191,6 @@ class Instruction:
         self.imm = imm
         self.target = target
         cls = _OPCODE_CLASS[opcode]
-        self.uop_class = cls
         self.cls_idx = CLS_HALT if opcode is Opcode.HALT else UCLASS_IDX[cls]
         self.port_class = _PORT_OF_CLASS[cls]
         self.is_load = opcode is Opcode.LD
@@ -208,19 +207,6 @@ class Instruction:
         self.dest_reg = rd if rd is not None and rd != 0 else None
         self.alu_fn = ALU_FN_TABLE.get(opcode)
         self.taken_fn = TAKEN_FN_TABLE.get(opcode)
-
-    def sources(self) -> tuple[int, ...]:
-        """Architectural source register indices (R0 excluded: it is constant)."""
-        srcs = []
-        if self.src1 is not None:
-            srcs.append(self.src1)
-        if self.src2 is not None:
-            srcs.append(self.src2)
-        return tuple(srcs)
-
-    def dest(self) -> Optional[int]:
-        """Architectural destination register (``None`` if none or R0)."""
-        return self.dest_reg
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         parts = [self.opcode.name]

@@ -61,7 +61,6 @@ class Cache:
         self._sets: list[OrderedDict[int, CacheLine]] = [
             OrderedDict() for _ in range(self.num_sets)
         ]
-        self._resident = 0
         # MRU fast path: the last line that reached the tail of its set via
         # a touching lookup or a fill.  While it holds, a repeat access can
         # skip both the set indexing and the (no-op) ``move_to_end``.  The
@@ -131,7 +130,6 @@ class Cache:
         if len(cache_set) >= self.assoc:
             victim_addr, victim_line = cache_set.popitem(last=False)
             self.stats.evictions += 1
-            self._resident -= 1
             if victim_line.dirty:
                 self.stats.writebacks += 1
             if victim_addr == self._mru_key:
@@ -142,7 +140,6 @@ class Cache:
                 self.eviction_hook(victim_addr, victim_line)
         line = CacheLine(ready_cycle, prefetched=prefetched)
         cache_set[line_addr] = line
-        self._resident += 1
         self._mru_key = line_addr
         self._mru_line = line
         return victim
@@ -153,7 +150,6 @@ class Cache:
         line = cache_set.pop(line_addr, None)
         if line is not None:
             self.stats.invalidations += 1
-            self._resident -= 1
             if line_addr == self._mru_key:
                 self._mru_key = -1
                 self._mru_line = None
@@ -186,15 +182,8 @@ class Cache:
              st.invalidations),
         )
 
-    # -- introspection -----------------------------------------------------------
-
-    def resident_lines(self) -> int:
-        """Number of resident (or in-fill) lines — O(1), counter-maintained."""
-        return self._resident
-
     def clear(self) -> None:
         for cache_set in self._sets:
             cache_set.clear()
-        self._resident = 0
         self._mru_key = -1
         self._mru_line = None

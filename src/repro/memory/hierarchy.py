@@ -202,7 +202,9 @@ class MemoryHierarchy:
     # implementations, and tests/test_blockjit.py differentially checks
     # the two against each other on a private and on a shared LLC.  Must
     # be kept in lockstep with ``Cache.fill``/``Cache.lookup``/
-    # ``SharedLLC._on_evict``.
+    # ``SharedLLC._on_evict``.  They mirror exactly the state that test
+    # compares: each set's lines in LRU order, the MRU entry, the stats
+    # counters and the shared LLC's line owners.
     #
     # Only a clean victim of an LLC with one connected core takes the
     # inlined eviction (back-invalidate this core's L1s).  On a shared
@@ -220,7 +222,6 @@ class MemoryHierarchy:
             va, vl = lset.popitem(last=False)
             st = llc.stats
             st.evictions += 1
-            llc._resident -= 1
             if vl.dirty or vl.prefetched or shared._mc:
                 # Writeback / FDP / cross-core accounting: take the full
                 # hook.
@@ -239,14 +240,12 @@ class MemoryHierarchy:
                 l1d = self.l1d
                 if l1d._sets[va % l1d.num_sets].pop(va, None) is not None:
                     l1d.stats.invalidations += 1
-                    l1d._resident -= 1
                     if va == l1d._mru_key:
                         l1d._mru_key = -1
                         l1d._mru_line = None
                 l1i = self.l1i
                 if l1i._sets[va % l1i.num_sets].pop(va, None) is not None:
                     l1i.stats.invalidations += 1
-                    l1i._resident -= 1
                     if va == l1i._mru_key:
                         l1i._mru_key = -1
                         l1i._mru_line = None
@@ -256,7 +255,6 @@ class MemoryHierarchy:
         if ln is None:
             ln = CacheLine(0)
         lset[line_addr] = ln
-        llc._resident += 1
         llc._mru_key = line_addr
         llc._mru_line = ln
         if shared._mc:
@@ -298,7 +296,6 @@ class MemoryHierarchy:
             ln = vl
         else:
             ln = CacheLine(0)
-            l1d._resident += 1
         dset[line_addr] = ln
         l1d._mru_key = line_addr
         l1d._mru_line = ln
@@ -341,7 +338,6 @@ class MemoryHierarchy:
             ln = vl
         else:
             ln = CacheLine(0)
-            l1i._resident += 1
         iset[line_addr] = ln
         l1i._mru_key = line_addr
         l1i._mru_line = ln

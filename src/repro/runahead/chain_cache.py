@@ -45,11 +45,6 @@ class ChainCache:
         self._entries[pc] = chain
         self.insertions += 1
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def __len__(self) -> int:
         return len(self._entries)
 

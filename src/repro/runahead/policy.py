@@ -5,9 +5,9 @@ decides to enter runahead at a full-window stall: traditional runahead
 or the buffer, the chain cache, the hybrid fallback (Fig. 8) and the
 Mutlu filters.  An :class:`EntryPolicy` holds what one configuration
 owns on its own: its decisions' counters, its chain cache, and its
-chain-generation statistics and energy events.  The intervals it enters
-belong to the simulated trajectory and live on the
-:class:`~repro.core.Processor`.
+chain-generation counters.  The intervals it enters belong to the
+simulated trajectory and live on the :class:`~repro.core.Processor`,
+whose ``_member_fields`` prices a policy's counters as energy events.
 
 The filters are the two hardware-controlled entry rules from Mutlu et
 al. (ISCA'05) that the paper adopts as "Runahead Enhancements" (§4.6):
@@ -64,7 +64,10 @@ def same_path(a: Decision, b: Decision) -> bool:
 
 
 class EntryPolicy:
-    """One configuration's entry decisions and the statistics they own."""
+    """One configuration's entry decisions and the plain counters they
+    own: declined entries, chain-cache checks, and chain generations
+    with the CAM searches and ROB readout they cost.  The chain cache
+    counts its own lookups and insertions."""
 
     def __init__(self, config: RunaheadConfig) -> None:
         self.config = config
@@ -84,12 +87,13 @@ class EntryPolicy:
         # Chain-cache hits checked against Algorithm 1, and the exact ones.
         self.cc_hits_checked = 0
         self.cc_hits_exact = 0
+        # Chain generations: their cycles, the destination-register and
+        # store-queue CAM searches, and the chain uops read out of the ROB.
         self.chain_generations = 0
         self.chain_gen_cycles = 0
-        # Cold-path energy events in first-occurrence order: this
-        # policy's chain-cache and chain-generation events, plus the
-        # checkpoints of the intervals it entered.
-        self.ev: dict[str, int] = {}
+        self.destreg_cam = 0
+        self.sq_cam = 0
+        self.chain_readout = 0
 
     def enhancements_allow(self, committed: int, miss_issue_retired: int,
                            furthest: int) -> bool:
@@ -127,11 +131,9 @@ class EntryPolicy:
         chain: Optional[tuple[ChainUop, ...]] = None
         gen_cycles = 1
         used_cc = False
-        ev = self.ev
         cache = self.chain_cache
         if cache is not None:
             cached = cache.lookup(head.pc)
-            ev["chain_cache_read"] = ev.get("chain_cache_read", 0) + 1
             if cached is not None:
                 chain = cached
                 used_cc = True
@@ -160,7 +162,6 @@ class EntryPolicy:
             chain = result.chain
             if cache is not None and chain:
                 cache.insert(head.pc, chain)
-                ev["chain_cache_write"] = ev.get("chain_cache_write", 0) + 1
         if not chain:
             self.entries_blocked_no_chain += 1
             return None
@@ -168,16 +169,9 @@ class EntryPolicy:
 
     def _note_generation(self, result: ChainGenResult) -> None:
         """Account one chain generation: its cycles and the CAM searches
-        and ROB readout it costs."""
+        and ROB readout it costs (one PC CAM search each)."""
         self.chain_generations += 1
         self.chain_gen_cycles += result.cycles
-        ev = self.ev
-        ev["pc_cam"] = ev.get("pc_cam", 0) + 1
-        ev["destreg_cam"] = ev.get("destreg_cam", 0) + result.reg_searches
-        ev["sq_cam"] = ev.get("sq_cam", 0) + result.sq_searches
-        ev["rob_read"] = ev.get("rob_read", 0) + len(result.chain)
-
-    def enter(self) -> None:
-        """Count the checkpoint of an interval this policy entered."""
-        ev = self.ev
-        ev["checkpoint"] = ev.get("checkpoint", 0) + 1
+        self.destreg_cam += result.reg_searches
+        self.sq_cam += result.sq_searches
+        self.chain_readout += len(result.chain)

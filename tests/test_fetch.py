@@ -104,7 +104,7 @@ def test_wrong_path_fetch_is_real_instructions():
     for _ in range(8):
         predictor.update(0, inst, True, 2, mispredicted=False)
     group = fetch.fetch_cycle(now=0)
-    assert group[0].predicted_taken
+    assert group[0].predicted_next_pc == 2
     assert fetch.pc == 2
 
 

@@ -101,11 +101,12 @@ class TestProgram:
 class TestInstruction:
     def test_sources_exclude_zero_register(self):
         inst = Instruction(Opcode.ADD, rd=1, rs1=0, rs2=5)
-        assert inst.sources() == (5,)
+        assert inst.src1 is None
+        assert inst.src2 == 5
 
     def test_dest_excludes_zero_register(self):
         inst = Instruction(Opcode.ADD, rd=0, rs1=1, rs2=2)
-        assert inst.dest() is None
+        assert inst.dest_reg is None
 
     def test_classification(self):
         load = Instruction(Opcode.LD, rd=1, rs1=2)

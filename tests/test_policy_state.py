@@ -25,8 +25,8 @@ def run_interval(proc, entry, exit_cycle, committed, program_order,
     """One interval on ``proc``: open it at cycle ``entry`` with
     ``committed`` instructions retired, pseudo-retire ``pseudo_retired``
     uops (default ``program_order``), ``program_order`` of them in
-    program order, generate ``misses`` misses, and close it at
-    ``exit_cycle``."""
+    program order, generate ``misses`` misses in traditional runahead,
+    and close it at ``exit_cycle``."""
     proc.now, proc.committed = entry, committed
     proc._take_checkpoint(SimpleNamespace(pc=0, done_cycle=exit_cycle),
                           entry)
@@ -34,7 +34,7 @@ def run_interval(proc, entry, exit_cycle, committed, program_order,
     stats = proc.stats
     stats.runahead_pseudo_retired += (program_order if pseudo_retired is None
                                       else pseudo_retired)
-    stats.runahead_misses_generated += misses
+    stats.runahead_misses_traditional += misses
     proc.now = exit_cycle
     proc._close_interval()
 
@@ -86,9 +86,9 @@ class TestIntervals:
     def test_interval_lifecycle(self):
         """Closing records the interval's entry and exit cycles, and its
         misses and pseudo-retirements as the counters' growth since
-        entry; no interval stays open."""
+        entry; no interval stays open.  Misses count in either mode."""
         proc = idle_processor()
-        proc.stats.runahead_misses_generated = 3
+        proc.stats.runahead_misses_rab = 3
         proc.stats.runahead_pseudo_retired = 40
         run_interval(proc, entry=10, exit_cycle=60, committed=500,
                      program_order=120, misses=7)
