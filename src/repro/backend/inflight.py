@@ -1,25 +1,35 @@
-"""The in-flight micro-op record: one object per ROB entry.
+"""The in-flight micro-op record: one object per uop from fetch to
+retirement.
 
-Carries rename state (physical registers), execution results, branch
-prediction/resolution state, memory access results, and the poison flag
-used by runahead execution.  The ROB keeps the decoded instruction with
-the entry — the paper adds 4 bytes per ROB entry precisely so that decoded
-uops remain readable for dependence-chain generation.
+The fetch unit builds it with its prediction and the cycle it reaches
+rename; it waits in the decode queue, and dispatch stamps its sequence
+number and rename state (physical registers) on it before it enters the
+ROB.  It then carries execution results, branch resolution state, memory
+access results, and the poison flag used by runahead execution.  The ROB
+keeps the decoded instruction with the entry — the paper adds 4 bytes per
+ROB entry precisely so that decoded uops remain readable for
+dependence-chain generation.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..frontend.branch_predictor import PredictorSnapshot
 from ..isa import Instruction
+
+if TYPE_CHECKING:
+    # Annotations only: repro.frontend builds these records, so importing
+    # it here at run time would be circular.
+    from ..frontend.branch_predictor import PredictorSnapshot
 
 
 class InFlightUop:
-    """A dynamic micro-op from rename to retirement."""
+    """A dynamic micro-op from fetch to retirement."""
 
     __slots__ = (
         "seq", "pc", "inst",
+        # Front end: the cycle the uop may leave the decode queue.
+        "rename_at",
         # Rename.
         "dest_arch", "dest_phys", "old_phys", "src1_phys", "src2_phys",
         "waiting",
@@ -37,10 +47,14 @@ class InFlightUop:
         "runahead", "from_rab", "producer_seqs",
     )
 
-    def __init__(self, seq: int, pc: int, inst: Instruction) -> None:
-        self.seq = seq
+    def __init__(self, pc: int, inst: Instruction,
+                 predicted_next_pc: int = -1,
+                 snapshot: Optional[PredictorSnapshot] = None,
+                 rename_at: int = 0) -> None:
+        self.seq = -1   # stamped at dispatch
         self.pc = pc
         self.inst = inst
+        self.rename_at = rename_at
         self.dest_arch: Optional[int] = None
         self.dest_phys: Optional[int] = None
         self.old_phys: Optional[int] = None
@@ -60,8 +74,8 @@ class InFlightUop:
         self.done_cycle = 0
         self.merged = False
         self.miss_issue_retired = -1
-        self.predicted_next_pc = -1
-        self.snapshot: Optional[PredictorSnapshot] = None
+        self.predicted_next_pc = predicted_next_pc
+        self.snapshot = snapshot
         self.actual_next_pc = -1
         self.taken = False
         self.runahead = False

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from ..backend import ForwardResult, InFlightUop, PhysicalRegisterFile, \
     RenameState, StoreQueue
 from ..config import RunaheadConfig, RunaheadMode, SystemConfig, cohort_key
-from ..frontend import BranchPredictor, FetchedUop, FetchUnit, INST_BYTES
+from ..frontend import BranchPredictor, FetchUnit, INST_BYTES
 from ..isa import (
     MASK64,
     DataMemory,
@@ -134,7 +134,7 @@ class Processor:
         self.store_queue = StoreQueue(core.store_queue_size)
         self.load_queue_used = 0
         self.rs_used = 0
-        self.decode_queue: deque[tuple[int, FetchedUop]] = deque()
+        self.decode_queue: deque[InFlightUop] = deque()
         self.decode_queue_cap = 4 * core.width
 
         self.events: list[tuple[int, int, InFlightUop]] = []
@@ -207,7 +207,6 @@ class Processor:
         self._lat_agu = core.latency_agu
         self._lat_branch = core.latency_branch
         self._l1d_latency = config.l1d.latency
-        self._fetch_to_rename = core.fetch_to_rename_cycles
         self._redirect_penalty = core.branch_mispredict_redirect
         self._ra_mode_off = ra.mode is RunaheadMode.NONE
         self._min_interval = ra.min_interval_cycles
@@ -323,7 +322,7 @@ class Processor:
         elif self.decode_queue:
             # ROB empty => every branch older than the decode queue has
             # resolved and redirected, so decoded uops are correct-path.
-            arch_pc = self.decode_queue[0][1].pc
+            arch_pc = self.decode_queue[0].pc
         else:
             arch_pc = self.fetch.pc
         values = self.rename.arch_values()
@@ -546,12 +545,12 @@ class Processor:
             queue = self.decode_queue
             if mode == "rab":
                 if queue:
-                    if queue[0][0] <= now:
+                    if queue[0].rename_at <= now:
                         self._dispatch_from_decode(now)
                 elif now >= self._rab_start_cycle:
                     self._dispatch_from_buffer(now)
             else:
-                if queue and queue[0][0] <= now:
+                if queue and queue[0].rename_at <= now:
                     self._dispatch_from_decode(now)
                 if len(queue) < self.decode_queue_cap:
                     fetch = self.fetch
@@ -584,7 +583,7 @@ class Processor:
                             best = t
                     queue = self.decode_queue
                     if queue:
-                        t = queue[0][0]
+                        t = queue[0].rename_at
                         if best is None or t < best:
                             best = t
                     fetch = self.fetch
@@ -664,7 +663,7 @@ class Processor:
             wake = retries[0][0]
         queue = self.decode_queue
         if queue:
-            t = queue[0][0]
+            t = queue[0].rename_at
             if t < wake and (t > now or not stalled):
                 wake = t
         if mode == "normal" or mode == "runahead":
@@ -1311,10 +1310,12 @@ class Processor:
     def _dispatch(self, now: int, from_rab: bool) -> None:
         """Rename and dispatch up to ``width`` uops in order, from the
         decode queue or (runahead-buffer mode) from the buffer's chain
-        loop.  Stops at the first uop a full ROB, RS, free list, load or
-        store queue blocks, and records the cycle in ``_dispatch_stall``:
-        the clock reads it to tell a stalled entry from a dispatchable
-        one.
+        loop.  A decode-queue uop is the record fetch built; a buffer uop
+        gets a new one.  Either is stamped with its sequence number and
+        rename state here.  Stops at the first uop a full ROB, RS, free
+        list, load or store queue blocks, and records the cycle in
+        ``_dispatch_stall``: the clock reads it to tell a stalled entry
+        from a dispatchable one.
 
         Renaming is classic merged-file: RAT lookup per source, free-list
         allocation per destination, ``old_phys`` kept for rollback."""
@@ -1339,17 +1340,15 @@ class Processor:
         tracking = self._tracking
         in_ra = self._in_ra
         seq = start_seq = self.seq
-        fetched = None
         for _ in range(self.width):
             if from_rab:
                 source = rab.peek()
             else:
                 if not queue:
                     break
-                entry = queue[0]
-                if entry[0] > now:
+                source = queue[0]
+                if source.rename_at > now:
                     break
-                fetched = source = entry[1]
             inst = source.inst
             dest = inst.dest_reg
             is_load = inst.is_load
@@ -1362,10 +1361,11 @@ class Processor:
                 break
             if from_rab:
                 rab.take()
+                uop = InFlightUop(source.pc, inst)
             else:
-                queue.popleft()
-
-            uop = InFlightUop(seq, source.pc, inst)
+                # The uop fetch built, with its prediction.
+                uop = queue.popleft()
+            uop.seq = seq
             if in_ra:
                 uop.runahead = True
                 uop.from_rab = from_rab
@@ -1407,9 +1407,6 @@ class Processor:
                 ready_bits[new_phys] = 0
                 poison[new_phys] = 0
                 producer_seq[new_phys] = seq
-            if fetched is not None:
-                uop.predicted_next_pc = fetched.predicted_next_pc
-                uop.snapshot = fetched.snapshot
             rob.append(uop)
             if is_load:
                 lq_used += 1
@@ -1447,12 +1444,8 @@ class Processor:
             if self.mode == "normal":
                 self.stats.frontend_idle_cycles += 1
             return
-        ready_at = now + self._fetch_to_rename
-        n = len(group)
-        self._ev_fetch += n
-        append = self.decode_queue.append
-        for fetched in group:
-            append((ready_at, fetched))
+        self._ev_fetch += len(group)
+        self.decode_queue.extend(group)
 
     # ------------------------------------------------------------------
     # Final statistics

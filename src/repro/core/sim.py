@@ -126,8 +126,10 @@ def cohort_runs(
     ``error`` is the exception the run raised, or ``None``.  A failed
     run's error belongs to every member still attached when it was
     raised.  Members that detached run again from scratch as the next
-    run's cohort.  A caller that drops ``processor`` before asking for
-    the next run keeps one processor alive at a time."""
+    run's cohort.  Nothing in a run refers back to its processor, so a
+    caller that drops ``processor`` before asking for the next run frees
+    that run whole (caches and program included) before the next is
+    built."""
     pending = list(range(len(configs)))
     while pending:
         processor = build(configs[pending[0]],
@@ -141,7 +143,8 @@ def cohort_runs(
         pending = [i for i, attached in zip(members, processor.attached())
                    if not attached]
         yield processor, members, error
-        # The caller holds this run now: free it before the next build.
+        # The caller holds this run now: dropping it here frees the run
+        # at once, before the next build.
         del processor, error
 
 
@@ -184,7 +187,7 @@ def simulate_cohort(
             if stats is not None:
                 _finish(stats, configs[index], names[index])
                 results[index] = stats
-        del processor   # free this run before the next one is built
+        del processor   # frees this run at once, before the next build
     return results, runs
 
 

@@ -617,24 +617,26 @@ class _BlockEntry:
 
 class JitProgram:
     """Lazily-translated blocks of one :class:`Program` for one cache/
-    predictor geometry."""
+    predictor geometry.  The program holds it (:func:`jit_program`) and
+    it holds nothing back: :meth:`entry_at` is handed the program, and
+    each bound function's globals keep no reference to the function, so
+    a dropped program is freed with its blocks by reference counting."""
 
-    __slots__ = ("program", "line_shift", "geom", "entries",
-                 "translate_seconds", "translate_count")
+    __slots__ = ("line_shift", "geom", "entries", "translate_seconds",
+                 "translate_count")
 
-    def __init__(self, program, line_shift: int, geom: tuple) -> None:
-        self.program = program
+    def __init__(self, line_shift: int, geom: tuple) -> None:
         self.line_shift = line_shift
         self.geom = geom
         self.entries: dict[int, _BlockEntry] = {}
         self.translate_seconds = 0.0
         self.translate_count = 0
 
-    def entry_at(self, pc: int,
+    def entry_at(self, program, pc: int,
                  hook: Optional[Callable[[int, int, bool], None]] = None
                  ) -> _BlockEntry:
         t0 = time.perf_counter()
-        region = discover_region(self.program, pc)
+        region = discover_region(program, pc)
         blocks = region.blocks
         if len(blocks) == 1:
             block = blocks[0]
@@ -642,7 +644,7 @@ class JitProgram:
             code = _CODE_CACHE.get(key)
             if code is None:
                 src = generate_source(block, self.line_shift, self.geom)
-                code = compile(src, f"<blockjit:{self.program.name}:{pc}>",
+                code = compile(src, f"<blockjit:{program.name}:{pc}>",
                                "exec")
                 _CODE_CACHE[key] = code
             ns = {"_div64": _div64,
@@ -650,7 +652,7 @@ class JitProgram:
                   else None}
             exec(code, ns)
             self.entries[pc] = _BlockEntry(
-                ns["_b"], len(block.instructions), block.kind)
+                ns.pop("_b"), len(block.instructions), block.kind)
         else:
             key = (region.key(), self.line_shift, self.geom)
             code = _CODE_CACHE.get(key)
@@ -658,12 +660,12 @@ class JitProgram:
                 src = generate_region_source(region, self.line_shift,
                                              self.geom)
                 code = compile(
-                    src, f"<blockjit:{self.program.name}:{pc}:region>",
+                    src, f"<blockjit:{program.name}:{pc}:region>",
                     "exec")
                 _CODE_CACHE[key] = code
             ns = {"_div64": _div64}
             exec(code, ns)
-            fn = ns["_b"]
+            fn = ns.pop("_b")
             # One function, dispatchable at every segment entry; the
             # per-entry length drives the driver's fits-in-budget check.
             for b in blocks:
@@ -686,7 +688,7 @@ def jit_program(program, line_shift: int, geom: tuple) -> JitProgram:
     k = (line_shift, geom)
     jp = cache.get(k)
     if jp is None:
-        jp = cache[k] = JitProgram(program, line_shift, geom)
+        jp = cache[k] = JitProgram(line_shift, geom)
     return jp
 
 
@@ -735,7 +737,7 @@ def run_warm_jit(interp, max_instructions: int, warm: WarmTargets,
             break  # out-of-range: interpreter tail below
         e = entries.get(pc)
         if e is None:
-            e = entry_at(pc, translate_hook)
+            e = entry_at(program, pc, translate_hook)
         remaining = max_instructions - executed
         if e.length > remaining:
             break  # sub-block tail: interpreter below

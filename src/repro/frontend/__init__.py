@@ -10,13 +10,12 @@ from .branch_predictor import (
     BranchPredictorStats,
     PredictorSnapshot,
 )
-from .fetch import INST_BYTES, FetchedUop, FetchUnit
+from .fetch import INST_BYTES, FetchUnit
 
 __all__ = [
     "BranchPredictor",
     "BranchPredictorStats",
     "FetchUnit",
-    "FetchedUop",
     "INST_BYTES",
     "PredictorSnapshot",
 ]

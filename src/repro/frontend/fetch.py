@@ -1,11 +1,13 @@
 """Fetch unit: supplies up to ``width`` predicted-path uops per cycle.
 
 Follows the branch predictor through the static program, producing
-:class:`FetchedUop` records (instruction + prediction + predictor
-snapshot).  Fetch naturally goes down the wrong path after a
-misprediction — it decodes the real instructions at the predicted target —
-until the core redirects it.  Instruction-cache timing is modelled per
-line (4-byte instruction slots, 16 per 64-byte line).
+:class:`~repro.backend.InFlightUop` records (instruction + prediction +
+predictor snapshot + the cycle the uop reaches rename), the one record a
+uop keeps until it retires.  Fetch naturally goes down the wrong path
+after a misprediction — it decodes the real instructions at the
+predicted target — until the core redirects it.  Instruction-cache
+timing is modelled per line (4-byte instruction slots, 16 per 64-byte
+line).
 """
 
 from __future__ import annotations
@@ -13,25 +15,13 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
+from ..backend.inflight import InFlightUop
 from ..config import CoreConfig
 from ..isa import Program
 from ..memory import MemoryHierarchy
-from .branch_predictor import BranchPredictor, PredictorSnapshot
+from .branch_predictor import BranchPredictor
 
 INST_BYTES = 4
-
-
-class FetchedUop:
-    """One fetched micro-op plus its control-flow prediction."""
-
-    __slots__ = ("pc", "inst", "predicted_next_pc", "snapshot")
-
-    def __init__(self, pc: int, inst, predicted_next_pc: int,
-                 snapshot: Optional[PredictorSnapshot]) -> None:
-        self.pc = pc
-        self.inst = inst
-        self.predicted_next_pc = predicted_next_pc
-        self.snapshot = snapshot
 
 
 class FetchUnit:
@@ -44,6 +34,7 @@ class FetchUnit:
         self.predictor = predictor
         self.hierarchy = hierarchy
         self.width = config.width
+        self._fetch_to_rename = config.fetch_to_rename_cycles
         self.pc = program.entry
         self.stalled_until = 0       # I-cache miss / redirect penalty
         self.wait_for_redirect = False  # unknown indirect target
@@ -88,14 +79,16 @@ class FetchUnit:
         self._last_line = -1
 
     def fetch_cycle(self, now: int, budget: Optional[int] = None
-                    ) -> list[FetchedUop]:
+                    ) -> list[InFlightUop]:
         """Fetch up to ``budget`` (default: width) uops along the predicted
-        path.  A predicted-taken branch ends the fetch group."""
+        path.  A predicted-taken branch ends the fetch group; each uop
+        reaches rename ``fetch_to_rename_cycles`` after ``now``."""
         if self.halted or self.wait_for_redirect or now < self.stalled_until:
             return []
         if budget is None:
             budget = self.width
-        group: list[FetchedUop] = []
+        rename_at = now + self._fetch_to_rename
+        group: list[InFlightUop] = []
         append = group.append
         insts = self._insts
         num_insts = self._num_insts
@@ -131,7 +124,7 @@ class FetchUnit:
             in_range = 0 <= pc < num_insts
             if in_range and is_halt_at[pc]:
                 self.halted = True
-                append(FetchedUop(pc, insts[pc], pc + 1, None))
+                append(InFlightUop(pc, insts[pc], pc + 1, None, rename_at))
                 break
             if in_range and is_branch_at[pc]:
                 inst = insts[pc]
@@ -141,14 +134,14 @@ class FetchUnit:
                     # Indirect branch with no BTB target: fetch must wait
                     # for the branch to resolve.
                     self.wait_for_redirect = True
-                    append(FetchedUop(pc, inst, -1, snapshot))
+                    append(InFlightUop(pc, inst, -1, snapshot, rename_at))
                     break
-                append(FetchedUop(pc, inst, target, snapshot))
+                append(InFlightUop(pc, inst, target, snapshot, rename_at))
                 self.pc = target
                 if taken:
                     break
             else:
                 inst = insts[pc] if in_range else self._nop
-                append(FetchedUop(pc, inst, pc + 1, None))
+                append(InFlightUop(pc, inst, pc + 1, None, rename_at))
                 self.pc = pc + 1
         return group

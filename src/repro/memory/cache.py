@@ -10,7 +10,7 @@ carried by each line delays use until the data has actually arrived.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Optional
+from typing import Optional
 
 from ..config import CacheConfig
 
@@ -65,14 +65,12 @@ class Cache:
         # a touching lookup or a fill.  While it holds, a repeat access can
         # skip both the set indexing and the (no-op) ``move_to_end``.  The
         # invariant is maintained by updating it on every touch/fill and
-        # clearing it when the tracked line is invalidated or the arrays
-        # are cleared; a fill into any set replaces it with the filled
-        # line, so a stale "no longer at tail" key can never survive.
+        # clearing it when the tracked line is invalidated or evicted; a
+        # fill into any set replaces it with the filled line, so a stale
+        # "no longer at tail" key can never survive.
         self._mru_key = -1
         self._mru_line: Optional[CacheLine] = None
         self.stats = CacheStats()
-        # Called with the victim line address on eviction (inclusion hook).
-        self.eviction_hook: Optional[Callable[[int, CacheLine], None]] = None
 
     def _set_for(self, line_addr: int) -> OrderedDict[int, CacheLine]:
         return self._sets[line_addr % self.num_sets]
@@ -109,8 +107,10 @@ class Cache:
         """Allocate a line (tag now, data at ``ready_cycle``).
 
         Returns the evicted ``(line_addr, CacheLine)`` if a victim was
-        displaced, else ``None``.  Filling a line that is already present
-        just lowers its ready time (fill merge).
+        displaced, else ``None``; the owner of the level settles the
+        victim (the LLC's: :meth:`SharedLLC.fill
+        <repro.memory.shared.SharedLLC.fill>`).  Filling a line that is
+        already present just lowers its ready time (fill merge).
         """
         if line_addr == self._mru_key:
             # Fill merge on the MRU line: already at the tail of its set.
@@ -136,8 +136,6 @@ class Cache:
                 self._mru_key = -1
                 self._mru_line = None
             victim = (victim_addr, victim_line)
-            if self.eviction_hook is not None:
-                self.eviction_hook(victim_addr, victim_line)
         line = CacheLine(ready_cycle, prefetched=prefetched)
         cache_set[line_addr] = line
         self._mru_key = line_addr
@@ -181,9 +179,3 @@ class Cache:
             (st.hits, st.misses, st.fill_hits, st.evictions, st.writebacks,
              st.invalidations),
         )
-
-    def clear(self) -> None:
-        for cache_set in self._sets:
-            cache_set.clear()
-        self._mru_key = -1
-        self._mru_line = None

@@ -10,7 +10,10 @@ the L1s, whose misses call the LLC/DRAM complex
 (:class:`~repro.memory.shared.SharedLLC`) directly.  A load miss asks
 :meth:`~repro.memory.shared.SharedLLC.accept_at` for an MSHR and then
 returns the :class:`~repro.memory.shared.AccessResult` that
-:meth:`~repro.memory.shared.SharedLLC.serve` built.  A hierarchy built
+:meth:`~repro.memory.shared.SharedLLC.serve` built, after training the
+complex's prefetcher on it and issuing the prefetches it asks for.  The
+hierarchy owns the complex and the complex holds no reference back, so
+a dropped core is freed at once.  A hierarchy built
 without an explicit ``shared=`` argument constructs a private complex, so
 the legacy single-core construction is one core wired to its own LLC —
 the request arithmetic lives in the complex but runs in the same order
@@ -93,8 +96,9 @@ class MemoryHierarchy:
     def _issue_prefetches(self, lines: list[int], now: int) -> None:
         # Class-level delegate (never an instance attribute: the zero-
         # cost-observability contract in tests/test_obs.py shadows it
-        # per-instance when tracing).  The complex routes prefetch issue
-        # back through this seam so per-core traces see their own issues.
+        # per-instance when tracing).  load and store_commit issue this
+        # core's prefetches through this seam, so per-core traces see
+        # their own issues.
         self.shared.issue_prefetches(lines, now, self.core_id)
 
     # -- core-side interface --------------------------------------------------------
@@ -128,7 +132,15 @@ class MemoryHierarchy:
         if retry:
             self.mshr_rejections += 1
             return AccessResult(retry, "RETRY")
-        result = shared.serve(line_addr, now + l1_latency, kind, core)
+        cycle = now + l1_latency
+        result = shared.serve(line_addr, cycle, kind, core)
+        prefetcher = self.prefetcher
+        if prefetcher is not None:
+            # Train on the access once the LLC has filled, before the L1
+            # does; the LLC held the line when it served it or merged.
+            self._issue_prefetches(prefetcher.on_demand_access(
+                line_addr, result.level == "LLC" or result.merged, core),
+                cycle)
         l1d.stats.misses += 1
         l1d.fill(line_addr, result.done_cycle)
         return result
@@ -148,9 +160,15 @@ class MemoryHierarchy:
             line.dirty = True
             return
         l1d.stats.misses += 1
-        done = self.shared.serve(line_addr, now + l1d.latency, kind,
-                                 self.core_id).done_cycle
-        l1d.fill(line_addr, done)
+        cycle = now + l1d.latency
+        core = self.core_id
+        result = self.shared.serve(line_addr, cycle, kind, core)
+        prefetcher = self.prefetcher
+        if prefetcher is not None:
+            self._issue_prefetches(prefetcher.on_demand_access(
+                line_addr, result.level == "LLC" or result.merged, core),
+                cycle)
+        l1d.fill(line_addr, result.done_cycle)
         l1d.mark_dirty(line_addr)
 
     def ifetch(self, addr: int, now: int) -> int:
@@ -178,7 +196,7 @@ class MemoryHierarchy:
         if self.l1d.lookup(line_addr) is not None:
             return
         if self.llc.lookup(line_addr) is None:
-            self.llc.fill(line_addr, 0)
+            self.shared.fill(line_addr, 0)
             if self.shared._mc:
                 # Ownership survives warm-up so the timed run can tell a
                 # cross-core eviction of warm state from a self-eviction.
@@ -188,7 +206,7 @@ class MemoryHierarchy:
     def warm_ifetch(self, addr: int) -> None:
         line_addr = self.line_of(addr)
         if not self.llc.probe(line_addr):
-            self.llc.fill(line_addr, 0)
+            self.shared.fill(line_addr, 0)
             if self.shared._mc:
                 self.shared._line_owner[line_addr] = self.core_id
         self.l1i.fill(line_addr, 0)
@@ -196,15 +214,15 @@ class MemoryHierarchy:
     # -- flattened warm paths (jit fast-forward lane only) ----------------------
     #
     # Bit-identical re-implementations of the warm paths above with the
-    # per-level call tree (lookup/probe/fill/invalidate/eviction hook)
+    # per-level call tree (lookup/probe/fill/invalidate/victim handling)
     # flattened into straight-line dict operations.  Only the jit
     # fast-forward lane binds these; the interp lane keeps the reference
     # implementations, and tests/test_blockjit.py differentially checks
     # the two against each other on a private and on a shared LLC.  Must
     # be kept in lockstep with ``Cache.fill``/``Cache.lookup``/
-    # ``SharedLLC._on_evict``.  They mirror exactly the state that test
-    # compares: each set's lines in LRU order, the MRU entry, the stats
-    # counters and the shared LLC's line owners.
+    # ``SharedLLC.fill``/``SharedLLC._on_evict``.  They mirror exactly
+    # the state that test compares: each set's lines in LRU order, the
+    # MRU entry, the stats counters and the shared LLC's line owners.
     #
     # Only a clean victim of an LLC with one connected core takes the
     # inlined eviction (back-invalidate this core's L1s).  On a shared
@@ -223,8 +241,8 @@ class MemoryHierarchy:
             st = llc.stats
             st.evictions += 1
             if vl.dirty or vl.prefetched or shared._mc:
-                # Writeback / FDP / cross-core accounting: take the full
-                # hook.
+                # Writeback / FDP / cross-core accounting: settle the
+                # victim in full.
                 if vl.dirty:
                     st.writebacks += 1
                 if va == llc._mru_key:
@@ -232,7 +250,7 @@ class MemoryHierarchy:
                     llc._mru_line = None
                 shared._on_evict(va, vl)
             else:
-                # Common case of the eviction hook: back-invalidate L1s.
+                # Common case of a victim: back-invalidate the L1s.
                 # The victim MRU-clear is dead here (the tail below
                 # reassigns the MRU unconditionally) and the clean victim
                 # never escapes, so its line object is recycled as the

@@ -5,10 +5,14 @@ array, the memory controller + DRAM, the stream prefetcher, and the LLC
 MSHR pool.  A :class:`~repro.memory.hierarchy.MemoryHierarchy` calls it
 directly with two methods: :meth:`SharedLLC.accept_at` (the MSHR
 admission check, loads only) and :meth:`SharedLLC.serve`, which returns
-the :class:`AccessResult` the load hands back to the core.  A
-single-core hierarchy constructs a private instance, so the legacy path
-is one core connected to its own complex — same arithmetic, same call
-order, bit-identical stats.  ``repro.multicore`` instead builds one
+the :class:`AccessResult` the load hands back to the core.  The
+hierarchy then trains the prefetcher and issues its prefetches itself,
+so calls only go down: the complex keeps each core's L1 arrays for
+inclusive back-invalidation but no reference to a hierarchy, and a
+dropped run is freed by reference counting alone.  A single-core
+hierarchy constructs a private instance, so the legacy path is one core
+connected to its own complex — same arithmetic, same call order,
+bit-identical stats.  ``repro.multicore`` instead builds one
 instance and connects N hierarchies to it; the complex then additionally
 keeps per-core accounting (LLC/DRAM traffic, MSHR occupancy and
 contention) and the cross-core interference stats the shared scenarios
@@ -151,14 +155,12 @@ class SharedLLC:
             if config.prefetcher.enabled
             else None
         )
-        self.llc.eviction_hook = self._on_evict
         # Outstanding LLC fills (MSHR occupancy): completion-cycle heap.
         self._fills: list[int] = []
         self._mshr_limit = config.llc.mshrs
         # Connected cores, in connect() order (core id == index).
         self._accounts: list[CoreAccount] = []
         self._l1_pairs: list[tuple[Cache, Cache]] = []
-        self._hiers: list = []
         # True once a second core connects: per-core accounting and the
         # multi-core-only state below are maintained from then on.
         self._mc = False
@@ -182,21 +184,28 @@ class SharedLLC:
     def connect(self, hierarchy) -> tuple[int, CoreAccount]:
         """Attach one per-core hierarchy; returns (core_id, account).
 
-        The hierarchy's L1s register for inclusive back-invalidation;
-        requests from the returned core id are accounted to the
-        returned :class:`CoreAccount`.
+        The hierarchy's L1s register for inclusive back-invalidation
+        (the hierarchy itself is not kept); requests from the returned
+        core id are accounted to the returned :class:`CoreAccount`.
         """
         core = len(self._accounts)
         acct = CoreAccount(core)
         self._accounts.append(acct)
         self._l1_pairs.append((hierarchy.l1d, hierarchy.l1i))
-        self._hiers.append(hierarchy)
         self._core_fills.append([])
         self._spec_fills.append([])
         self._mc = core > 0
         return core, acct
 
-    # -- inclusion / interference hook ---------------------------------------
+    # -- LLC fills, inclusion and interference ------------------------------
+
+    def fill(self, line_addr: int, ready_cycle: int,
+             prefetched: bool = False) -> None:
+        """Allocate ``line_addr`` in the LLC (``Cache.fill``) and settle
+        its victim, if one was displaced, through :meth:`_on_evict`."""
+        victim = self.llc.fill(line_addr, ready_cycle, prefetched)
+        if victim is not None:
+            self._on_evict(*victim)
 
     def _on_evict(self, line_addr: int, line) -> None:
         # Inclusive LLC: back-invalidate every connected core's L1s.
@@ -313,7 +322,11 @@ class SharedLLC:
 
     def serve(self, line_addr: int, cycle: int, kind: str,
               core: int) -> AccessResult:
-        """Resolve an admitted request reaching the LLC at ``cycle``."""
+        """Resolve an admitted request reaching the LLC at ``cycle``.
+
+        The LLC held the line (resident or in fill) when the result's
+        level is ``"LLC"`` or it is merged; the calling hierarchy trains
+        the prefetcher with that (:meth:`MemoryHierarchy.load`)."""
         if kind == "ifetch":
             return self._serve_ifetch(line_addr, cycle, core)
         acct = self._accounts[core]
@@ -348,7 +361,7 @@ class SharedLLC:
                                            kind=kind)
             self._register_fill(done, core,
                                 speculative=kind in ("runahead", "prefetch"))
-            self.llc.fill(line_addr, done)
+            self.fill(line_addr, done)
             level, merged = "DRAM", False
             if self._mc:
                 acct.accesses += 1
@@ -360,13 +373,6 @@ class SharedLLC:
                 if owner == core:
                     acct.pollution_misses += 1
                     self.stats.pollution_misses += 1
-        if self.prefetcher is not None:
-            hits = line is not None
-            # Route through the requesting hierarchy so its per-core
-            # observability shadow (Tracer) sees the issue.
-            self._hiers[core]._issue_prefetches(
-                self.prefetcher.on_demand_access(line_addr, hits, core), cycle
-            )
         return AccessResult(done, level, merged)
 
     def _serve_ifetch(self, line_addr: int, t: int,
@@ -395,7 +401,7 @@ class SharedLLC:
             acct.ifetch_llc_misses += 1
             done = self.controller.request(line_addr, t + self.llc.latency,
                                            kind="ifetch")
-            self.llc.fill(line_addr, done)
+            self.fill(line_addr, done)
             if self._mc:
                 acct.accesses += 1
                 acct.misses += 1
@@ -424,7 +430,7 @@ class SharedLLC:
                 acct.dram_reads += 1
                 acct.dram_by_kind["prefetch"] = (
                     acct.dram_by_kind.get("prefetch", 0) + 1)
-            self.llc.fill(line_addr, done, prefetched=True)
+            self.fill(line_addr, done, prefetched=True)
             if self._mc:
                 self._line_owner[line_addr] = core
 

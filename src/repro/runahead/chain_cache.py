@@ -47,6 +47,3 @@ class ChainCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()

@@ -219,6 +219,9 @@ class SharedRuns:
         self._slots[index] = None
         indices, loop = self._runs.pop(index)
         while index not in self._results:
+            # _collect keeps only the outcome.  The loop drops the run it
+            # yielded when it resumes, or with itself once its cohort's
+            # last config is taken; that drop frees the run at once.
             self._collect(indices, *next(loop))
         result = self._results.pop(index)
         if isinstance(result, _Failure):

@@ -58,7 +58,8 @@ class TestRenameState:
 
 
 def make_store(seq, addr=None, data=0, data_known=True, poisoned=False):
-    uop = InFlightUop(seq, pc=0, inst=Instruction(Opcode.ST, rs1=1, rs2=2))
+    uop = InFlightUop(pc=0, inst=Instruction(Opcode.ST, rs1=1, rs2=2))
+    uop.seq = seq
     if addr is not None:
         uop.mem_addr = addr
         uop.addr_known = True

@@ -146,10 +146,10 @@ class TestCodegen:
 
         p1, p2 = build(), build()
         jp1 = jit_program(p1, *_layout())
-        jp1.entry_at(1)
+        jp1.entry_at(p1, 1)
         before = len(blockjit._CODE_CACHE)
         jp2 = jit_program(p2, *_layout())
-        jp2.entry_at(1)
+        jp2.entry_at(p2, 1)
         assert len(blockjit._CODE_CACHE) == before  # content-addressed hit
         # Same compiled code object underneath, distinct bound functions.
         assert jp1.entries[1].fn.__code__ is jp2.entries[1].fn.__code__
@@ -157,7 +157,7 @@ class TestCodegen:
     def test_translate_accounting(self):
         program = _loop_program()
         jp = jit_program(program, *_layout())
-        jp.entry_at(1)
+        jp.entry_at(program, 1)
         assert jp.translate_count == 1
         assert jp.translate_seconds > 0.0
         assert program_translate_seconds(program) == pytest.approx(

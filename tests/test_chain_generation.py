@@ -7,7 +7,8 @@ from repro.runahead import chain_signature, generate_chain
 
 def uop(seq, pc, inst, dest_phys=None, src1=None, src2=None,
         mem_addr=None):
-    u = InFlightUop(seq, pc, inst)
+    u = InFlightUop(pc, inst)
+    u.seq = seq
     u.dest_phys = dest_phys
     u.src1_phys = src1
     u.src2_phys = src2

@@ -173,11 +173,17 @@ def test_default_hierarchy_routes_through_the_port_graph():
     shared = hierarchy.shared
     assert isinstance(shared, SharedLLC)
     # A private complex with this core as its only connection.
-    assert shared._hiers == [hierarchy] and hierarchy.core_id == 0
+    assert shared._accounts == [hierarchy._acct] and hierarchy.core_id == 0
     assert not hierarchy.is_shared
     assert shared._l1_pairs == [(hierarchy.l1d, hierarchy.l1i)]
     assert hierarchy.llc is shared.llc
-    assert shared.llc.eviction_hook == shared._on_evict
+    # The complex settles every LLC victim: evicting a line this core
+    # holds back-invalidates its L1D.
+    line = 0x40000
+    hierarchy.warm_load(line << hierarchy._line_shift)
+    for k in range(1, shared.llc.assoc + 1):
+        shared.fill(line + k * shared.llc.num_sets, 0)
+    assert not shared.llc.probe(line) and not hierarchy.l1d.probe(line)
 
 
 @pytest.mark.parametrize("config_name", ("baseline", "rab_cc"))

@@ -59,7 +59,7 @@ class TestInclusion:
         set_index = line % h.llc.num_sets
         for k in range(1, h.llc.assoc + 2):
             conflict = line + k * h.llc.num_sets
-            h.llc.fill(conflict, 0)
+            h.shared.fill(conflict, 0)
         assert not h.llc.probe(line)
         assert not h.l1d.probe(line)
         del llc_lines, set_index

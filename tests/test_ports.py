@@ -37,7 +37,10 @@ class TestRealEndpoint:
     def test_hierarchy_is_port_connected(self, hierarchy):
         shared = hierarchy.shared
         assert isinstance(shared, SharedLLC)
-        assert shared._hiers == [hierarchy]
+        # Connected as core 0, through its L1s and its account only.
+        assert shared._l1_pairs == [(hierarchy.l1d, hierarchy.l1i)]
+        assert shared._accounts == [hierarchy._acct]
+        assert hierarchy.core_id == 0
         assert hierarchy.llc is shared.llc
         assert hierarchy.controller is shared.controller
 

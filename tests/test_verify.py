@@ -197,7 +197,8 @@ class TestInvariantChecker:
         proc = self._proc()
         checker = attach_invariant_checker(proc)
         proc.run(200)
-        stray = InFlightUop(10 ** 9, 0, Instruction(Opcode.ST, rs1=1, rs2=2))
+        stray = InFlightUop(0, Instruction(Opcode.ST, rs1=1, rs2=2))
+        stray.seq = 10 ** 9
         proc.store_queue.entries.append(stray)
         with pytest.raises(InvariantError, match="store queue"):
             checker.check_now()
