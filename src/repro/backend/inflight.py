@@ -24,7 +24,29 @@ if TYPE_CHECKING:
 
 
 class InFlightUop:
-    """A dynamic micro-op from fetch to retirement."""
+    """A dynamic micro-op from fetch to retirement.
+
+    One is built per fetched uop, so the constructor stores only what
+    fetch knows and the status every later stage reads before writing it
+    (docs/simulator.md, "The flattened hot path").  A field outside that
+    set exists from the stage that sets it on:
+
+    * dispatch: ``seq``, ``src1_phys``, ``src2_phys``, ``dest_arch``,
+      ``dest_phys``, ``runahead``, ``from_rab`` and (with chain
+      statistics on) ``producer_seqs``; ``old_phys`` when there is a
+      destination; ``waiting`` when the uop waits on a register (a
+      store's data register too, at execute);
+    * dispatch, loads and stores only: ``addr_known`` (False), and
+      ``level`` (``None``) of a load;
+    * execute: ``mem_addr`` when ``addr_known`` turns True; a store's
+      ``data_known``, and its ``store_data`` when that turns True; a
+      load's ``done_cycle``; ``merged`` with a load's ``level``;
+      ``miss_issue_retired`` of a load that started a DRAM miss; a
+      branch's ``taken`` and, unless poisoned, its ``actual_next_pc``.
+
+    Readers test the uop's class (``inst.is_load``, ``inst.is_store``) or
+    the field that guards the one they read.
+    """
 
     __slots__ = (
         "seq", "pc", "inst",
@@ -51,36 +73,16 @@ class InFlightUop:
                  predicted_next_pc: int = -1,
                  snapshot: Optional[PredictorSnapshot] = None,
                  rename_at: int = 0) -> None:
-        self.seq = -1   # stamped at dispatch
         self.pc = pc
         self.inst = inst
         self.rename_at = rename_at
-        self.dest_arch: Optional[int] = None
-        self.dest_phys: Optional[int] = None
-        self.old_phys: Optional[int] = None
-        self.src1_phys: Optional[int] = None
-        self.src2_phys: Optional[int] = None
-        self.waiting = 0
+        self.predicted_next_pc = predicted_next_pc
+        self.snapshot = snapshot
         self.issued = False
         self.completed = False
         self.squashed = False
         self.value = 0
         self.poisoned = False
-        self.mem_addr: Optional[int] = None
-        self.store_data = 0
-        self.addr_known = False
-        self.data_known = False
-        self.level: Optional[str] = None
-        self.done_cycle = 0
-        self.merged = False
-        self.miss_issue_retired = -1
-        self.predicted_next_pc = predicted_next_pc
-        self.snapshot = snapshot
-        self.actual_next_pc = -1
-        self.taken = False
-        self.runahead = False
-        self.from_rab = False
-        self.producer_seqs: tuple[int, ...] = ()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         flags = "".join(
@@ -88,8 +90,9 @@ class InFlightUop:
             for flag, on in (
                 ("I", self.issued), ("C", self.completed),
                 ("S", self.squashed), ("P", self.poisoned),
-                ("R", self.runahead),
+                ("R", getattr(self, "runahead", False)),
             )
             if on
         )
-        return f"<uop#{self.seq} pc={self.pc} {self.inst.opcode.name} {flags}>"
+        seq = getattr(self, "seq", -1)
+        return f"<uop#{seq} pc={self.pc} {self.inst.opcode.name} {flags}>"

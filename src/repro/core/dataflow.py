@@ -18,7 +18,6 @@ its motivation section:
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 from .stats import ChainAnalysis
@@ -26,27 +25,28 @@ from .stats import ChainAnalysis
 _SLICE_LIMIT = 64          # max uops per backward slice (matches chain walk)
 _WINDOW = 8192             # retained uop records
 
-
-class _UopRecord:
-    __slots__ = ("pc", "producers", "is_miss_load")
-
-    def __init__(self, pc: int, producers: tuple[int, ...],
-                 is_miss_load: bool) -> None:
-        self.pc = pc
-        self.producers = producers
-        self.is_miss_load = is_miss_load
+# A uop record is a plain tuple (one is built per executed uop, see
+# docs/simulator.md, "The flattened hot path"):
+# (pc, producer seqs, is_miss_load).
+_PC = 0
+_PRODUCERS = 1
+_IS_MISS = 2
 
 
 class DataflowTracker:
-    """Sliding-window dataflow graph over executed uops."""
+    """Sliding-window dataflow graph over executed uops: the records of
+    the last ``_WINDOW`` uops in execution order."""
 
     def __init__(self, analysis: Optional[ChainAnalysis] = None) -> None:
         self.analysis = analysis if analysis is not None else ChainAnalysis()
-        self._records: dict[int, _UopRecord] = {}
-        self._order: deque[int] = deque()
+        self._records: dict[int, tuple] = {}
+        # The window's seqs in execution order: a ring whose next slot
+        # holds the oldest (-1 while the window fills).
+        self._ring = [-1] * _WINDOW
+        self._next = 0
         # Traditional-runahead interval tracking.
         self._in_interval = False
-        self._interval_ops: dict[int, _UopRecord] = {}
+        self._interval_ops: dict[int, tuple] = {}
         self._interval_misses: list[int] = []
         self._interval_signatures: set[tuple] = set()
 
@@ -55,12 +55,17 @@ class DataflowTracker:
     def note_exec(self, seq: int, pc: int, producers: tuple[int, ...],
                   is_miss_load: bool, runahead: bool) -> None:
         """Record one executed uop and its producer seq ids."""
-        record = _UopRecord(pc, producers, is_miss_load)
-        self._records[seq] = record
-        self._order.append(seq)
-        if len(self._order) > _WINDOW:
-            old = self._order.popleft()
-            self._records.pop(old, None)
+        record = (pc, producers, is_miss_load)
+        records = self._records
+        records[seq] = record
+        ring = self._ring
+        slot = self._next
+        oldest = ring[slot]
+        if oldest >= 0:
+            del records[oldest]
+        ring[slot] = seq
+        slot += 1
+        self._next = slot if slot < _WINDOW else 0
         if runahead and self._in_interval:
             self._interval_ops[seq] = record
             if is_miss_load:
@@ -74,19 +79,22 @@ class DataflowTracker:
         (no other LLC miss in its backward slice).  Updates analysis."""
         on_chip = True
         seen: set[int] = set()
-        frontier = [p for p in producers if p >= 0]
+        records = self._records
+        # Negative seqs (registers no uop in the window produced) are
+        # skipped as they are popped.
+        frontier = list(producers)
         while frontier and len(seen) < _SLICE_LIMIT:
             s = frontier.pop()
-            if s in seen:
+            if s < 0 or s in seen:
                 continue
             seen.add(s)
-            record = self._records.get(s)
+            record = records.get(s)
             if record is None:
                 continue
-            if record.is_miss_load:
+            if record[_IS_MISS]:
                 on_chip = False
                 break
-            frontier.extend(p for p in record.producers if p >= 0)
+            frontier.extend(record[_PRODUCERS])
         if on_chip:
             self.analysis.misses_source_onchip += 1
         else:
@@ -113,7 +121,7 @@ class DataflowTracker:
         for miss_seq in self._interval_misses:
             chain = self._slice_within(miss_seq, ops)
             on_chain.update(chain)
-            signature = tuple(sorted({ops[s].pc for s in chain}))
+            signature = tuple(sorted({ops[s][_PC] for s in chain}))
             if signature in self._interval_signatures:
                 analysis.repeated_chains += 1
             else:
@@ -126,7 +134,7 @@ class DataflowTracker:
         self._interval_misses = []
 
     @staticmethod
-    def _slice_within(seq: int, ops: dict[int, _UopRecord]) -> set[int]:
+    def _slice_within(seq: int, ops: dict[int, tuple]) -> set[int]:
         """Backward slice of ``seq`` restricted to the interval's ops.
 
         The slice stops at repeated *static* PCs, so it captures one loop
@@ -135,17 +143,17 @@ class DataflowTracker:
         through the entire induction history of the interval and every
         chain would look unique."""
         chain: set[int] = {seq}
-        seen_pcs: set[int] = {ops[seq].pc} if seq in ops else set()
+        seen_pcs: set[int] = {ops[seq][_PC]} if seq in ops else set()
         frontier = [seq]
         while frontier and len(chain) < _SLICE_LIMIT:
             s = frontier.pop()
             record = ops.get(s)
             if record is None:
                 continue
-            for producer in record.producers:
+            for producer in record[_PRODUCERS]:
                 if producer < 0 or producer not in ops or producer in chain:
                     continue
-                pc = ops[producer].pc
+                pc = ops[producer][_PC]
                 if pc in seen_pcs:
                     continue
                 seen_pcs.add(pc)

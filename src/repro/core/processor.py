@@ -756,9 +756,10 @@ class Processor:
         if inst.is_conditional_branch:
             self.stats.cond_branches += 1
         mispredicted = uop.actual_next_pc != uop.predicted_next_pc
+        snapshot = uop.snapshot
         self.predictor.update(
             uop.pc, inst, uop.taken, uop.actual_next_pc, mispredicted,
-            ghr=uop.snapshot.ghr if uop.snapshot is not None else None,
+            ghr=snapshot[0] if snapshot is not None else None,
         )
         if not mispredicted:
             return
@@ -767,8 +768,8 @@ class Processor:
             # waited for the resolve.
             self.fetch.redirect(uop.actual_next_pc, now + 1)
             return
-        if uop.snapshot is not None:
-            self.predictor.repair(uop.pc, inst, uop.taken, uop.snapshot)
+        if snapshot is not None:
+            self.predictor.repair(uop.pc, inst, uop.taken, snapshot)
         self._squash_younger(uop.seq)
         self.decode_queue.clear()
         self.fetch.redirect(uop.actual_next_pc, now + self._redirect_penalty)
@@ -1083,6 +1084,12 @@ class Processor:
     # ------------------------------------------------------------------
 
     def _issue(self, now: int) -> None:
+        """Issue up to ``width`` ready uops, in order, within each port's
+        budget.  ALU ops, branches and NOPs execute here: their result and
+        completion event are computed at issue.  Loads and stores execute
+        in :meth:`_execute_load` and :meth:`_execute_store`.  Source poison
+        bits are read only in a runahead mode: outside one no register is
+        poisoned (the invariant checker's rule)."""
         ready = self.ready
         if not ready:
             return
@@ -1091,22 +1098,30 @@ class Processor:
         ports = list(self._port_limits)
         skipped: Optional[list[InFlightUop]] = None
         issued = 0
+        prf_reads = 0
+        in_ra = self._in_ra
+        prf = self.prf
+        value = prf.value
+        poison = prf.poison
+        events = self.events
+        heappush = heapq.heappush
         while ready and budget > 0:
             uop = ready.popleft()
             if uop.squashed:
                 continue
+            inst = uop.inst
             if uop.issued:
-                if (uop.inst.is_store and uop.addr_known
+                if (inst.is_store and uop.addr_known
                         and not uop.data_known and not uop.completed):
                     # STD: the store's data operand has arrived.
-                    data, data_poison = self._read_operand(uop.src2_phys)
-                    uop.store_data = data
+                    s2 = uop.src2_phys
+                    uop.store_data = value[s2]
                     uop.data_known = True
-                    if data_poison and self._in_ra:
+                    if in_ra and poison[s2]:
                         uop.poisoned = True
-                    heapq.heappush(self.events, (now + 1, uop.seq, uop))
+                    heappush(events, (now + 1, uop.seq, uop))
                 continue
-            port_cls = uop.inst.port_class
+            port_cls = inst.port_class
             if ports[port_cls] <= 0:
                 if skipped is None:
                     skipped = [uop]
@@ -1115,175 +1130,186 @@ class Processor:
                 continue
             ports[port_cls] -= 1
             budget -= 1
-            if self._execute(uop, now):
-                uop.issued = True
-                issued += 1
+            cls = inst.cls_idx
+            if cls == CLS_LOAD:
+                if not self._execute_load(uop, now):
+                    continue
+            elif cls == CLS_STORE:
+                self._execute_store(uop, now)
+            else:
+                poisoned = False
+                s1 = uop.src1_phys
+                if s1 is None:
+                    a = 0
+                else:
+                    a = value[s1]
+                    prf_reads += 1
+                    if in_ra and poison[s1]:
+                        poisoned = True
+                s2 = uop.src2_phys
+                if s2 is None:
+                    b = 0
+                else:
+                    b = value[s2]
+                    prf_reads += 1
+                    if in_ra and poison[s2]:
+                        poisoned = True
+                if cls == CLS_BRANCH:
+                    if poisoned:
+                        uop.poisoned = True
+                    if inst.is_conditional_branch:
+                        uop.taken = taken = (False if poisoned
+                                             else inst.taken_fn(inst, a, b))
+                    else:
+                        uop.taken = taken = True
+                    if inst.is_call:
+                        uop.value = uop.pc + 1
+                    if not poisoned:
+                        # Inline branch_target: indirect targets come from
+                        # rs1, taken branches from the static target, else
+                        # fall through.
+                        if inst.is_indirect:
+                            uop.actual_next_pc = a & MASK64
+                        elif taken:
+                            uop.actual_next_pc = inst.target
+                        else:
+                            uop.actual_next_pc = uop.pc + 1
+                    done = now + self._lat_branch
+                    self._ev_alu += 1
+                elif cls >= CLS_NOP:   # NOP and the dispatch-only CLS_HALT
+                    done = now + 1
+                else:
+                    if poisoned:
+                        uop.poisoned = True
+                    else:
+                        uop.value = inst.alu_fn(inst, a, b)
+                    done = now + self._lat_by_cls[cls]
+                    self._ev_fu[cls] += 1
+                heappush(events, (done, uop.seq, uop))
+            uop.issued = True
+            issued += 1
         if issued:
             self.rs_used -= issued
             self._ev_issue += issued
+        if prf_reads:
+            self._ev_prf_read += prf_reads
         if skipped is not None:
             for uop in reversed(skipped):
                 ready.appendleft(uop)
 
-    def _read_operand(self, phys: Optional[int]) -> tuple[int, bool]:
-        if phys is None:
-            return 0, False
+    def _execute_store(self, uop: InFlightUop, now: int) -> None:
+        """Issue a store: compute its address (STA) and, once its data
+        operand is ready, take the data (STD); otherwise the STD waits on
+        that register (see :meth:`_issue`)."""
+        self._ev_agu += 1
         prf = self.prf
-        return prf.value[phys], bool(prf.poison[phys])
-
-    def _execute(self, uop: InFlightUop, now: int) -> bool:
-        """Functionally execute and schedule completion.  Returns False if
-        the uop must be re-tried later (memory disambiguation wait)."""
-        inst = uop.inst
-        cls = inst.cls_idx
-        prf = self.prf
-        value = prf.value
-        poison = prf.poison
+        in_ra = self._in_ra
         s1 = uop.src1_phys
         s2 = uop.src2_phys
-        if s1 is not None:
-            a = value[s1]
-            a_poison = poison[s1]
-            nsrc = 1
+        nsrc = (s1 is not None) + (s2 is not None)
+        if in_ra and s1 is not None and prf.poison[s1]:
+            # INV store: the address is garbage, drop it.
+            uop.poisoned = True
+            self.stats.inv_ops += 1
         else:
-            a = 0
-            a_poison = 0
-            nsrc = 0
-        if s2 is not None:
-            b = value[s2]
-            b_poison = poison[s2]
-            nsrc += 1
-        else:
-            b = 0
-            b_poison = 0
+            base = prf.value[s1] if s1 is not None else 0
+            uop.mem_addr = (base + uop.inst.imm) & MASK64
+            uop.addr_known = True
+            if self.deferred_loads:
+                # Disambiguation: blocked loads may re-try now.
+                self.ready.extend(
+                    u for u in self.deferred_loads if not u.squashed
+                )
+                self.deferred_loads.clear()
+            if s2 is None:
+                uop.store_data = 0
+                uop.data_known = True
+            elif prf.ready[s2]:
+                uop.store_data = prf.value[s2]
+                uop.data_known = True
+                if in_ra and prf.poison[s2]:
+                    uop.poisoned = True
+            else:
+                # STA done; STD waits for the data operand.
+                uop.data_known = False
+                uop.waiting = 1
+                self.waiters.setdefault(s2, []).append(uop)
+                return
+        self._ev_prf_read += nsrc
+        heapq.heappush(self.events, (now + self._lat_agu, uop.seq, uop))
+
+    def _execute_load(self, uop: InFlightUop, now: int) -> bool:
+        """Issue a load: forward from the store queue, read the runahead
+        cache or access the memory hierarchy, and schedule completion.
+        Returns False if the load must be re-tried later (a memory
+        disambiguation wait, or MSHR backpressure)."""
+        s1 = uop.src1_phys
         in_runahead = self._in_ra
-        poisoned = bool(a_poison or b_poison) and in_runahead
-
-        if cls == CLS_LOAD:
-            if poisoned:
-                # INV load: no memory access (address is garbage).
-                uop.poisoned = True
-                uop.value = 0
-                self.stats.inv_ops += 1
-                done = now + self._lat_agu + 1
-            else:
-                done = self._execute_load(uop, a, now)
-                if done < 0:
-                    return False
-            self._ev_agu += 1
-        elif cls == CLS_STORE:
-            self._ev_agu += 1
-            if a_poison and in_runahead:
-                # INV store: the address is garbage, drop it.
-                uop.poisoned = True
-                self.stats.inv_ops += 1
-                done = now + self._lat_agu
-            else:
-                uop.mem_addr = (a + inst.imm) & MASK64
-                uop.addr_known = True
-                if self.deferred_loads:
-                    # Disambiguation: blocked loads may re-try now.
-                    self.ready.extend(
-                        u for u in self.deferred_loads if not u.squashed
-                    )
-                    self.deferred_loads.clear()
-                if s2 is None or prf.ready[s2]:
-                    uop.store_data = b
-                    uop.data_known = True
-                    if b_poison and in_runahead:
-                        uop.poisoned = True
-                    done = now + self._lat_agu
-                else:
-                    # STA done; STD waits for the data operand.
-                    uop.waiting = 1
-                    self.waiters.setdefault(s2, []).append(uop)
-                    uop.done_cycle = 0
-                    return True
-        elif cls == CLS_BRANCH:
-            uop.poisoned = poisoned
-            if inst.is_conditional_branch:
-                uop.taken = taken = (False if poisoned
-                                     else inst.taken_fn(inst, a, b))
-            else:
-                uop.taken = taken = True
-            if inst.is_call:
-                uop.value = uop.pc + 1
-            if not poisoned:
-                # Inline branch_target: indirect targets come from rs1,
-                # taken branches from the static target, else fall through.
-                if inst.is_indirect:
-                    uop.actual_next_pc = a & MASK64
-                elif taken:
-                    uop.actual_next_pc = inst.target
-                else:
-                    uop.actual_next_pc = uop.pc + 1
-            done = now + self._lat_branch
-            self._ev_alu += 1
-        elif cls >= CLS_NOP:       # NOP and the dispatch-only CLS_HALT
-            done = now + 1
+        prf = self.prf
+        if in_runahead and s1 is not None and prf.poison[s1]:
+            # INV load: no memory access (address is garbage).
+            uop.poisoned = True
+            uop.value = 0
+            self.stats.inv_ops += 1
+            done = now + self._lat_agu + 1
         else:
-            uop.poisoned = poisoned
-            uop.value = 0 if poisoned else inst.alu_fn(inst, a, b)
-            done = now + self._lat_by_cls[cls]
-            self._ev_fu[cls] += 1
-
-        if nsrc:
-            self._ev_prf_read += nsrc
+            base = prf.value[s1] if s1 is not None else 0
+            addr = (base + uop.inst.imm) & MASK64
+            uop.mem_addr = addr
+            uop.addr_known = True
+            result, store = self.store_queue.search(addr >> 3, uop.seq)
+            if result is ForwardResult.WAIT:
+                self.deferred_loads.append(uop)
+                return False
+            t_access = now + self._lat_agu
+            if result is ForwardResult.FORWARD:
+                assert store is not None
+                uop.value = store.store_data
+                if in_runahead and store.poisoned:
+                    uop.poisoned = True
+                done = t_access + self._l1d_latency
+            elif (in_runahead and self._ra_cache_enabled and (
+                    cached := self.runahead_cache.read(addr)) is not None):
+                uop.value = cached
+                done = t_access + self._l1d_latency
+            else:
+                done, level, merged = self.hierarchy.load(
+                    addr, t_access, "runahead" if in_runahead else "demand")
+                if level == "RETRY":
+                    # All LLC MSHRs busy: re-issue when one frees.  This
+                    # is the backpressure that bounds runahead's miss
+                    # generation.
+                    heapq.heappush(self._retries, (done + 1, uop.seq, uop))
+                    return False
+                uop.level = level
+                uop.merged = merged
+                uop.value = self.memory.load(addr)
+                missed = level == "DRAM" and not merged
+                if missed:
+                    uop.miss_issue_retired = self.committed
+                if in_runahead:
+                    if done - t_access > self._poison_latency:
+                        # The data cannot return within a useful horizon
+                        # (a fresh miss, or a merge with an in-flight
+                        # fill): mark INV and move on — the prefetch
+                        # effect is already in flight.
+                        uop.poisoned = True
+                        self.stats.inv_ops += 1
+                        if missed:
+                            if self.mode == "rab":
+                                self.stats.runahead_misses_rab += 1
+                            else:
+                                self.stats.runahead_misses_traditional += 1
+                        done = t_access + self._l1d_latency + 1
+                elif missed and self._tracking:
+                    self.tracker.classify_demand_miss(uop.seq,
+                                                     uop.producer_seqs)
+        self._ev_agu += 1
+        if s1 is not None:
+            self._ev_prf_read += 1
         uop.done_cycle = done
         heapq.heappush(self.events, (done, uop.seq, uop))
         return True
-
-    def _execute_load(self, uop: InFlightUop, base: int, now: int) -> int:
-        """Returns the completion cycle, or -1 to defer (disambiguation)."""
-        addr = (base + uop.inst.imm) & MASK64
-        uop.mem_addr = addr
-        uop.addr_known = True
-        result, store = self.store_queue.search(addr >> 3, uop.seq)
-        if result is ForwardResult.WAIT:
-            self.deferred_loads.append(uop)
-            return -1
-        t_access = now + self._lat_agu
-        in_runahead = self._in_ra
-        if result is ForwardResult.FORWARD:
-            assert store is not None
-            uop.value = store.store_data
-            uop.poisoned = store.poisoned and in_runahead
-            return t_access + self._l1d_latency
-        if in_runahead and self._ra_cache_enabled:
-            cached = self.runahead_cache.read(addr)
-            if cached is not None:
-                uop.value = cached
-                return t_access + self._l1d_latency
-        kind = "runahead" if in_runahead else "demand"
-        access = self.hierarchy.load(addr, t_access, kind=kind)
-        if access.level == "RETRY":
-            # All LLC MSHRs busy: re-issue when one frees.  This is the
-            # backpressure that bounds runahead's miss generation.
-            heapq.heappush(self._retries,
-                           (access.done_cycle + 1, uop.seq, uop))
-            return -1
-        uop.level = access.level
-        uop.merged = access.merged
-        uop.value = self.memory.load(addr)
-        if access.level == "DRAM" and not access.merged:
-            uop.miss_issue_retired = self.committed
-        if in_runahead:
-            if access.done_cycle - t_access > self._poison_latency:
-                # The data cannot return within a useful horizon (a fresh
-                # miss, or a merge with an in-flight fill): mark INV and
-                # move on — the prefetch effect is already in flight.
-                uop.poisoned = True
-                self.stats.inv_ops += 1
-                if access.level == "DRAM" and not access.merged:
-                    if self.mode == "rab":
-                        self.stats.runahead_misses_rab += 1
-                    else:
-                        self.stats.runahead_misses_traditional += 1
-                return t_access + self._l1d_latency + 1
-        elif (self._tracking and access.level == "DRAM"
-                and not access.merged):
-            self.tracker.classify_demand_miss(uop.seq, uop.producer_seqs)
-        return access.done_cycle
 
     # ------------------------------------------------------------------
     # Rename / dispatch
@@ -1366,39 +1392,45 @@ class Processor:
                 # The uop fetch built, with its prediction.
                 uop = queue.popleft()
             uop.seq = seq
-            if in_ra:
-                uop.runahead = True
-                uop.from_rab = from_rab
-            src1 = inst.src1
-            src2 = inst.src2
+            uop.runahead = in_ra
+            uop.from_rab = from_rab
             waiting = 0
-            if tracking:
-                producers = []
-            if src1 is not None:
-                phys = rat[src1]
-                uop.src1_phys = phys
-                if tracking:
-                    producers.append(producer_seq[phys])
-                if not ready_bits[phys]:
+            src1 = inst.src1
+            if src1 is None:
+                phys1 = None
+            else:
+                phys1 = rat[src1]
+                if not ready_bits[phys1]:
                     waiting = 1
-                    waiters.setdefault(phys, []).append(uop)
-            if src2 is not None:
-                phys = rat[src2]
-                uop.src2_phys = phys
-                if tracking:
-                    producers.append(producer_seq[phys])
+                    waiters.setdefault(phys1, []).append(uop)
+            uop.src1_phys = phys1
+            src2 = inst.src2
+            if src2 is None:
+                phys2 = None
+            else:
+                phys2 = rat[src2]
                 # STA/STD split: a store's data operand does not gate
                 # issue — the address computes as soon as rs1 is ready;
                 # the data is picked up when it arrives (see _issue /
-                # _execute).
-                if not ready_bits[phys] and not is_store:
+                # _execute_store).
+                if not ready_bits[phys2] and not is_store:
                     waiting += 1
-                    waiters.setdefault(phys, []).append(uop)
+                    waiters.setdefault(phys2, []).append(uop)
+            uop.src2_phys = phys2
             if tracking:
-                uop.producer_seqs = tuple(producers)
-            if dest is not None:
+                if phys1 is None:
+                    uop.producer_seqs = (() if phys2 is None
+                                         else (producer_seq[phys2],))
+                elif phys2 is None:
+                    uop.producer_seqs = (producer_seq[phys1],)
+                else:
+                    uop.producer_seqs = (producer_seq[phys1],
+                                         producer_seq[phys2])
+            uop.dest_arch = dest
+            if dest is None:
+                uop.dest_phys = None
+            else:
                 new_phys = free_list.pop()
-                uop.dest_arch = dest
                 uop.dest_phys = new_phys
                 uop.old_phys = rat[dest]
                 rat[dest] = new_phys
@@ -1410,7 +1442,10 @@ class Processor:
             rob.append(uop)
             if is_load:
                 lq_used += 1
+                uop.addr_known = False
+                uop.level = None
             elif is_store:
+                uop.addr_known = False
                 store_queue.push(uop)
             if waiting:
                 uop.waiting = waiting

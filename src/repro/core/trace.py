@@ -58,14 +58,16 @@ class CommitTrace:
     def on_commit(self, uop, cycle: int) -> None:
         """Processor commit hook (receives the InFlightUop and cycle)."""
         self.total_commits += 1
+        inst = uop.inst
         self.entries.append(CommittedOp(
             seq=uop.seq,
             pc=uop.pc,
-            opcode=uop.inst.opcode.name,
+            opcode=inst.opcode.name,
             cycle=cycle,
             dest_arch=uop.dest_arch,
             value=uop.value,
-            mem_addr=uop.mem_addr,
+            # Only a memory uop has an address (repro.backend.InFlightUop).
+            mem_addr=uop.mem_addr if inst.is_mem else None,
         ))
 
     def __len__(self) -> int:

@@ -3,10 +3,10 @@
 A gshare and a bimodal table of 2-bit counters, arbitrated by a chooser
 table, plus a branch target buffer for taken targets and a return address
 stack for CALL/RET.  The global history register is speculatively updated
-at predict time; every prediction returns a snapshot that the core stores
-with the branch so history (and the RAS top) can be repaired on a
-misprediction or a runahead exit — the paper checkpoints "the branch
-history register and return address stack" on runahead entry.
+at predict time; fetch takes a snapshot before each prediction and the
+core stores it with the branch so history (and the RAS top) can be
+repaired on a misprediction — the paper checkpoints "the branch history
+register and return address stack" on runahead entry.
 """
 
 from __future__ import annotations
@@ -18,13 +18,11 @@ from ..config import BranchPredictorConfig
 from ..isa import Instruction
 
 
-@dataclass(frozen=True)
-class PredictorSnapshot:
-    """State needed to undo speculative predictor updates."""
-
-    ghr: int
-    ras_sp: int
-    ras_top: int
+# State needed to undo speculative predictor updates: (global history,
+# RAS pointer, RAS top entry).  A plain tuple, not a class instance:
+# fetch takes one per predicted branch (docs/simulator.md, "The flattened
+# hot path").
+PredictorSnapshot = tuple[int, int, int]
 
 
 @dataclass
@@ -63,13 +61,14 @@ class BranchPredictor:
 
     def snapshot(self) -> PredictorSnapshot:
         sp = self._ras_sp
-        top = self._ras[(sp - 1) % len(self._ras)]
-        return PredictorSnapshot(self.ghr, sp, top)
+        ras = self._ras
+        return (self.ghr, sp, ras[(sp - 1) % len(ras)])
 
     def restore(self, snap: PredictorSnapshot) -> None:
-        self.ghr = snap.ghr
-        self._ras_sp = snap.ras_sp
-        self._ras[(snap.ras_sp - 1) % len(self._ras)] = snap.ras_top
+        ghr, sp, top = snap
+        self.ghr = ghr
+        self._ras_sp = sp
+        self._ras[(sp - 1) % len(self._ras)] = top
 
     def checkpoint_full(self) -> tuple[int, list[int], int]:
         """Full GHR + RAS checkpoint (taken on runahead entry, §3)."""

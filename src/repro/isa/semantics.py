@@ -201,25 +201,23 @@ class DataMemory:
             raise ValueError("default_fill must be 'hash' or 'zero'")
         self.default_fill = default_fill
 
-    @staticmethod
-    def _key(addr: int) -> int:
-        return (addr & MASK64) >> 3
-
     def load(self, addr: int) -> int:
-        key = self._key(addr)
-        try:
-            return self._words[key]
-        except KeyError:
-            if self.default_fill == "zero":
-                return 0
-            # splitmix64-style hash of the word index: deterministic junk.
-            z = (key + 0x9E3779B97F4A7C15) & MASK64
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-            return z ^ (z >> 31)
+        # Most detailed loads read unwritten words: a lookup that misses
+        # must not raise (see docs/simulator.md, "The flattened hot path").
+        key = (addr & MASK64) >> 3
+        value = self._words.get(key)
+        if value is not None:
+            return value
+        if self.default_fill == "zero":
+            return 0
+        # splitmix64-style hash of the word index: deterministic junk.
+        z = (key + 0x9E3779B97F4A7C15) & MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return z ^ (z >> 31)
 
     def store(self, addr: int, value: int) -> None:
-        self._words[self._key(addr)] = value & MASK64
+        self._words[(addr & MASK64) >> 3] = value & MASK64
 
     def __len__(self) -> int:
         return len(self._words)

@@ -2,7 +2,8 @@
 
 Each core's :class:`MemoryHierarchy` (L1s) calls its :class:`SharedLLC`
 (LLC + MSHRs + controller + prefetcher) directly, and one
-:class:`AccessResult` type carries a load's outcome from L1 to DRAM.  A
+``(done_cycle, level, merged)`` shape carries a load's outcome from L1 to
+DRAM: an :class:`AccessResult`, or a plain tuple for an L1 hit.  A
 hierarchy built standalone owns a private complex; ``repro.multicore``
 connects N hierarchies to one.
 """

@@ -11,7 +11,8 @@ the L1s, whose misses call the LLC/DRAM complex
 :meth:`~repro.memory.shared.SharedLLC.accept_at` for an MSHR and then
 returns the :class:`~repro.memory.shared.AccessResult` that
 :meth:`~repro.memory.shared.SharedLLC.serve` built, after training the
-complex's prefetcher on it and issuing the prefetches it asks for.  The
+complex's prefetcher on it and issuing the prefetches it asks for; an L1
+hit returns the same fields as a plain tuple.  The
 hierarchy owns the complex and the complex holds no reference back, so
 a dropped core is freed at once.  A hierarchy built
 without an explicit ``shared=`` argument constructs a private complex, so
@@ -36,6 +37,9 @@ from .cache import Cache, CacheLine
 from .shared import CORE_KINDS, AccessResult, SharedLLC
 
 __all__ = ["CORE_KINDS", "MemoryHierarchy"]
+
+# Builds an AccessResult without its Python-level ``__new__``.
+_tuple_new = tuple.__new__
 
 
 class MemoryHierarchy:
@@ -103,14 +107,20 @@ class MemoryHierarchy:
 
     # -- core-side interface --------------------------------------------------------
 
-    def load(self, addr: int, now: int, kind: str = "demand") -> AccessResult:
-        """A data load; returns completion cycle and serving level.
+    def load(self, addr: int, now: int,
+             kind: str = "demand") -> tuple[int, str, bool]:
+        """A data load; returns ``(done_cycle, level, merged)``: the
+        completion cycle, the serving level and whether it merged with a
+        fill in flight.
 
-        When the access would allocate a new LLC MSHR and all MSHRs are
-        busy, the complex refuses the request and this returns level
-        ``"RETRY"`` with ``done_cycle`` set to the cycle an MSHR frees —
-        the core must re-issue the load.  This is the backpressure that
-        bounds how far any runahead mode can run.
+        An L1 hit or merge, the per-uop case, returns a plain tuple
+        (docs/simulator.md, "The flattened hot path"); every other access
+        returns the same fields as an :class:`AccessResult`.  When the
+        access would allocate a new LLC MSHR and all MSHRs are busy, the
+        complex refuses the request and this returns level ``"RETRY"``
+        with ``done_cycle`` set to the cycle an MSHR frees — the core must
+        re-issue the load.  This is the backpressure that bounds how far
+        any runahead mode can run.
         """
         line_addr = addr >> self._line_shift
         l1d = self.l1d
@@ -121,17 +131,16 @@ class MemoryHierarchy:
         if line is not None:
             if line.ready_cycle <= now:
                 l1d.stats.hits += 1
-                return AccessResult(now + l1_latency, "L1")
+                return (now + l1_latency, "L1", False)
             # Fill in flight: merge with it.
             l1d.stats.fill_hits += 1
-            return AccessResult(
-                max(line.ready_cycle, now + l1_latency), "L1", True)
+            return (max(line.ready_cycle, now + l1_latency), "L1", True)
         shared = self.shared
         core = self.core_id
         retry = shared.accept_at(line_addr, now, kind, core)
         if retry:
             self.mshr_rejections += 1
-            return AccessResult(retry, "RETRY")
+            return _tuple_new(AccessResult, (retry, "RETRY", False))
         cycle = now + l1_latency
         result = shared.serve(line_addr, cycle, kind, core)
         prefetcher = self.prefetcher

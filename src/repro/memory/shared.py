@@ -51,11 +51,17 @@ CORE_KINDS = ("demand", "store", "runahead", "wrongpath")
 
 
 class AccessResult(NamedTuple):
-    """Outcome of one access, from whichever level served it."""
+    """Outcome of one access, from whichever level served it.  The hot
+    paths build it with ``tuple.__new__``, which skips the Python-level
+    ``__new__`` (so every field is passed), and an L1 hit is a plain tuple
+    of the same fields (:meth:`MemoryHierarchy.load`)."""
 
     done_cycle: int       # completion cycle, or the cycle to retry
     level: str            # "L1", "LLC", "DRAM", or "RETRY" (MSHRs full)
     merged: bool = False  # satisfied by an in-flight fill (MSHR merge)
+
+
+_tuple_new = tuple.__new__
 
 
 class SharedHierarchyError(RuntimeError):
@@ -373,7 +379,7 @@ class SharedLLC:
                 if owner == core:
                     acct.pollution_misses += 1
                     self.stats.pollution_misses += 1
-        return AccessResult(done, level, merged)
+        return _tuple_new(AccessResult, (done, level, merged))
 
     def _serve_ifetch(self, line_addr: int, t: int,
                       core: int) -> AccessResult:
@@ -409,7 +415,8 @@ class SharedLLC:
                 acct.dram_by_kind["ifetch"] = (
                     acct.dram_by_kind.get("ifetch", 0) + 1)
                 self._line_owner[line_addr] = core
-        return AccessResult(done, "DRAM" if llc_line is None else "LLC")
+        return _tuple_new(AccessResult, (
+            done, "DRAM" if llc_line is None else "LLC", False))
 
     # -- prefetch issue ------------------------------------------------------
 

@@ -60,9 +60,10 @@ class TestRenameState:
 def make_store(seq, addr=None, data=0, data_known=True, poisoned=False):
     uop = InFlightUop(pc=0, inst=Instruction(Opcode.ST, rs1=1, rs2=2))
     uop.seq = seq
+    # Dispatch clears addr_known; execute sets mem_addr with it.
+    uop.addr_known = addr is not None
     if addr is not None:
         uop.mem_addr = addr
-        uop.addr_known = True
     uop.store_data = data
     uop.data_known = data_known
     uop.poisoned = poisoned

@@ -126,16 +126,18 @@ class TestSnapshots:
         snap = bp.snapshot()
         bp.predict(10, COND)
         bp.predict(10, COND)
-        assert bp.ghr != snap.ghr or True  # history may change
+        ghr, _ras_sp, _ras_top = snap
+        assert bp.ghr != ghr or True  # history may change
         bp.restore(snap)
-        assert bp.ghr == snap.ghr
+        assert bp.ghr == ghr
 
     def test_repair_reapplies_actual_outcome(self):
         bp = make_bp()
         snap = bp.snapshot()
         bp.predict(10, COND)        # speculative update (maybe wrong)
         bp.repair(10, COND, taken=True, snapshot=snap)
-        assert bp.ghr == ((snap.ghr << 1) | 1) & bp._history_mask
+        ghr, _ras_sp, _ras_top = snap
+        assert bp.ghr == ((ghr << 1) | 1) & bp._history_mask
 
     def test_repair_call_restores_ras(self):
         bp = make_bp()

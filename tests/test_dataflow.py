@@ -1,5 +1,9 @@
 """Dataflow tracker unit tests (the analytics behind Figs 2-5)."""
 
+import pytest
+
+from repro.config import build_named_config
+from repro.core import simulate
 from repro.core.dataflow import DataflowTracker
 from repro.core.stats import ChainAnalysis
 
@@ -97,6 +101,68 @@ class TestIntervalChains:
         for seq in range(10_000):
             note(t, seq, seq % 7)
         assert len(t._records) <= 8192
+
+    def test_window_holds_the_last_executed_uops(self):
+        """The window is the last 8192 uops in execution order, not the
+        8192 highest seqs: a slice sees a producer only while it is one
+        of them."""
+        t = DataflowTracker()
+        note(t, 9000, 1, miss=True)    # executes first: the one evicted
+        note(t, 0, 2, miss=True)       # the oldest execution still held
+        for seq in range(1, 8192):
+            note(t, seq, 3)
+        # Held: a slice through seq 0 finds its miss.
+        assert not t.classify_demand_miss(10_000, (0,))
+        # Evicted although its seq is the highest of all.
+        assert t.classify_demand_miss(10_001, (9000,))
+        # One more execution evicts seq 0.
+        note(t, 8192, 4)
+        assert t.classify_demand_miss(10_002, (0,))
+
+
+# SimStats.chains of +chains cells at the golden grid's budget (2k timed
+# after 1.5k of warm-up; the two mcf cells at 8k wrap the tracker's
+# window several times), in ChainAnalysis field order.  The grid's named
+# configs collect no chain statistics, so this pins the Figs. 2-5
+# numbers in tier-1.
+_CHAIN_FIELDS = (
+    "misses_source_onchip", "misses_source_offchip",
+    "runahead_ops_executed", "runahead_ops_on_chains",
+    "unique_chains", "repeated_chains", "chain_length_sum", "chain_count",
+)
+_PINNED_CHAINS = {
+    ("mcf", "baseline", 2000): (145, 18, 0, 0, 0, 0, 0, 0),
+    ("mcf", "runahead", 2000): (77, 0, 3183, 374, 17, 60, 374, 77),
+    ("mcf", "rab_cc", 2000): (64, 0, 0, 0, 0, 0, 0, 0),
+    ("omnetpp", "baseline", 2000): (51, 0, 0, 0, 0, 0, 0, 0),
+    ("omnetpp", "runahead", 2000): (6, 0, 1986, 1586, 6, 36, 1586, 42),
+    ("omnetpp", "rab_cc", 2000): (17, 0, 0, 0, 0, 0, 0, 0),
+    ("soplex", "baseline", 2000): (141, 17, 0, 0, 0, 0, 0, 0),
+    ("soplex", "runahead", 2000): (90, 1, 2499, 370, 16, 57, 370, 73),
+    ("soplex", "rab_cc", 2000): (66, 0, 0, 0, 0, 0, 0, 0),
+    ("libquantum", "baseline", 2000): (39, 0, 0, 0, 0, 0, 0, 0),
+    ("libquantum", "runahead", 2000): (17, 0, 1193, 42, 4, 17, 42, 21),
+    ("libquantum", "rab_cc", 2000): (11, 0, 0, 0, 0, 0, 0, 0),
+    ("milc", "baseline", 2000): (141, 17, 0, 0, 0, 0, 0, 0),
+    ("milc", "runahead", 2000): (72, 0, 2142, 394, 14, 63, 394, 77),
+    ("milc", "rab_cc", 2000): (70, 0, 0, 0, 0, 0, 0, 0),
+    ("GemsFDTD", "baseline", 2000): (52, 0, 0, 0, 0, 0, 0, 0),
+    ("GemsFDTD", "runahead", 2000): (20, 0, 1020, 80, 20, 20, 80, 40),
+    ("GemsFDTD", "rab_cc", 2000): (16, 0, 0, 0, 0, 0, 0, 0),
+    ("mcf", "baseline", 8000): (545, 68, 0, 0, 0, 0, 0, 0),
+    ("mcf", "runahead", 8000): (273, 0, 10715, 1308, 59, 207, 1308, 266),
+}
+
+
+@pytest.mark.parametrize("workload,config_name,instructions",
+                         sorted(_PINNED_CHAINS))
+def test_chain_stats_pinned(workload, config_name, instructions):
+    config = build_named_config(config_name)
+    config.runahead.collect_chain_stats = True
+    chains = simulate(workload, config, max_instructions=instructions,
+                      warmup_instructions=1500).stats.chains
+    assert tuple(getattr(chains, f) for f in _CHAIN_FIELDS) == \
+        _PINNED_CHAINS[workload, config_name, instructions]
 
 
 class TestChainAnalysisDerived:

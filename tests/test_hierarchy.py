@@ -20,16 +20,20 @@ class TestLoadPath:
     def test_warm_load_hits_l1(self):
         h = make_hierarchy()
         first = h.load(0x10000, now=0)
-        second = h.load(0x10000, now=first.done_cycle + 1)
-        assert second.level == "L1"
-        assert second.done_cycle == first.done_cycle + 1 + h.l1d.latency
+        # An L1 hit is a plain (done_cycle, level, merged) tuple.
+        done, level, merged = h.load(0x10000, now=first.done_cycle + 1)
+        assert level == "L1"
+        assert not merged
+        assert done == first.done_cycle + 1 + h.l1d.latency
 
     def test_inflight_merge(self):
         h = make_hierarchy()
         first = h.load(0x10000, now=0)
-        merged = h.load(0x10008, now=5)  # same 64B line, fill in flight
-        assert merged.merged
-        assert merged.done_cycle == first.done_cycle
+        # Same 64B line, fill in flight: an L1 merge, a plain tuple.
+        done, level, merged = h.load(0x10008, now=5)
+        assert merged
+        assert level == "L1"
+        assert done == first.done_cycle
 
     def test_llc_hit_after_l1_eviction(self):
         h = make_hierarchy()
@@ -144,8 +148,8 @@ class TestWarmup:
     def test_warm_load_installs_without_timing(self):
         h = make_hierarchy()
         h.warm_load(0x9000)
-        result = h.load(0x9000, now=0)
-        assert result.level == "L1"
+        _done, level, _merged = h.load(0x9000, now=0)
+        assert level == "L1"
         assert h.llc.stats.misses == 0
 
     def test_warm_ifetch(self):
