@@ -55,11 +55,8 @@ def main() -> None:
     print("and dereferences one more future element.")
 
     stats = processor.run(3_000)
-    # rab_iterations counts the chain-loop iterations of the last buffer
-    # interval only (RunaheadBuffer.load_chain resets it per interval).
     print(f"\nafter 3k more instructions: intervals={stats.rab_intervals} "
-          f"chain-loop iterations in the last interval="
-          f"{stats.rab_iterations} "
+          f"chain-loop iterations={stats.rab_iterations} "
           f"misses/interval={stats.misses_per_interval:.1f}")
 
 

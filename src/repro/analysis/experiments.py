@@ -35,7 +35,7 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 from ..config import CONFIG_BUILDERS, SamplingConfig, build_named_config
 from . import parallel
 
-MODEL_VERSION = 4
+MODEL_VERSION = 5
 KEY_SCHEMA = 3
 
 DEFAULT_INSTRUCTIONS = int(os.environ.get("REPRO_BENCH_INSTS", "5000"))

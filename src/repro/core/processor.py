@@ -494,13 +494,11 @@ class Processor:
     def _step(self) -> None:
         """Simulate one cycle, or cross one provably idle stretch.
 
-        A step that does work advances the clock exactly as stepping
-        cycle by cycle would: by one, or straight to the next event when
-        nothing at all is pending.  When the only thing the next cycles
-        would do is re-try an entry stalled on a full structure (or wait
-        on a store address), the step records the earliest wake-up cycle
-        (:meth:`_wake_up`) in ``_wake`` and the next call jumps there in
-        one go."""
+        A step that does work advances the clock by one.  When it leaves
+        no uop ready to issue, it stores the earliest wake-up cycle
+        (:meth:`_wake_up`) in ``_wake``, and the next call jumps there in
+        one go, counting every cycle of the stretch as stepping each one
+        would.  ``_wake_up`` is the only code that decides a jump."""
         now = self.now
         nxt = self._wake
         if nxt > now:
@@ -564,55 +562,12 @@ class Processor:
                         self._fetch_into_decode(now)
 
             # -- the clock --------------------------------------------------
-            # Advance by one, or jump straight to the next event when
-            # nothing at all is pending (retries are candidates too).  An
-            # entry a dispatcher stopped on for a full structure, or a
-            # load waiting on store-address disambiguation, keeps the
-            # stepped clock at the next cycle although nothing can free
-            # the structure or resolve the address before an event: then
-            # the stretch up to the wake-up collapses into the next call.
             nxt = now + 1
             if not self.ready:
-                mode = self.mode
-                deferred = self.deferred_loads
-                if not deferred:
-                    best = events[0][0] if events else None
-                    if retries:
-                        t = retries[0][0]
-                        if best is None or t < best:
-                            best = t
-                    queue = self.decode_queue
-                    if queue:
-                        t = queue[0].rename_at
-                        if best is None or t < best:
-                            best = t
-                    fetch = self.fetch
-                    if (mode != "rab" and not fetch.halted
-                            and not fetch.wait_for_redirect
-                            and len(queue) < self.decode_queue_cap):
-                        t = fetch.stalled_until
-                        if t < nxt:
-                            t = nxt
-                        if best is None or t < best:
-                            best = t
-                    if mode == "rab":
-                        t = self._rab_start_cycle
-                        if t < nxt:
-                            t = nxt
-                        if best is None or t < best:
-                            best = t
-                    if mode != "normal":
-                        t = self._exit_cycle
-                        if best is None or t < best:
-                            best = t
-                    if best is not None and best > nxt:
-                        nxt = best
-                if nxt == now + 1 and (deferred
-                                       or self._dispatch_stall == now):
-                    wake = self._wake_up(now)
-                    if nxt < wake < _NEVER:
-                        cap = self._wake_cap
-                        self._wake = wake if wake < cap else cap
+                wake = self._wake_up(now)
+                if nxt < wake < _NEVER:
+                    cap = self._wake_cap
+                    self._wake = wake if wake < cap else cap
 
         # Stall/mode accounting covers jumped cycles too: by construction
         # nothing changes during the stretch.
@@ -634,14 +589,17 @@ class Processor:
     def _wake_up(self, now: int) -> int:
         """The earliest cycle after ``now`` at which a step can do
         anything, given that the step at ``now`` left no uop ready to
-        issue (``_NEVER`` when nothing is pending at all).  The wake-up
-        cycles are: the next completion event or retry; fetch resuming
-        when the decode queue has room; a decode-queue or buffer entry
-        that is not stalled on a full structure; a completed ROB head;
-        the runahead exit cycle and the cycle the buffer starts.  The
-        runahead-entry check and the pseudo-retirement poison rule read
-        the clock, so the cycle after a stall forms, or after a head load
-        issues in runahead mode, is a wake-up too."""
+        issue (``_NEVER`` when nothing is pending at all).  Every cycle
+        before it would step with no effect but the mode, memory-stall
+        and front-end-idle counts, which is what lets ``_step`` jump
+        there.  The wake-up cycles are: the next completion event or
+        retry; fetch resuming when the decode queue has room; a
+        decode-queue or buffer entry that is not stalled on a full
+        structure; a completed ROB head; the runahead exit cycle and the
+        cycle the buffer starts.  The runahead-entry check and the
+        pseudo-retirement poison rule read the clock, so the cycle after
+        a stall forms, or after a head load issues in runahead mode, is a
+        wake-up too."""
         nxt = now + 1
         mode = self.mode
         rob = self.rob

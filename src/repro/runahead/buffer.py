@@ -34,7 +34,6 @@ class RunaheadBuffer:
             raise ValueError("cannot load an empty chain")
         self._chain = chain
         self._cursor = 0
-        self.iterations_started = 0
 
     @property
     def active(self) -> bool:

@@ -1,17 +1,17 @@
 """Cycle-equivalence suite: the optimized hot paths must be timing no-ops.
 
 The simulator's inner loops carry several profile-guided optimizations
-(static decode tables, MRU cache fast paths, indexed wakeup — see
-``docs/simulator.md``).  Each one is argued to be *bit-identical* to the
-straightforward implementation; this suite enforces that argument: every
-workload x runahead mode must reproduce the pinned pre-optimization
-reference stats exactly — cycles, IPC, every cache/DRAM counter, and
-every energy-event count.
+(static decode tables, MRU cache fast paths, indexed wakeup, the
+wake-up-driven clock — see ``docs/simulator.md``).  Each one is argued
+to be *bit-identical* to the straightforward implementation; this suite
+enforces that argument: every workload x runahead mode must reproduce
+the pinned reference stats exactly — cycles, IPC, every cache/DRAM
+counter, and every energy-event count.
 
-The reference (``tests/golden/cycle_equivalence.json``) was generated
-from the unoptimized simulator (plus the intentional fetch ``_line_ready``
-redirect fix) at small budgets.  To regenerate after an *intentional*
-model change::
+The reference (``tests/golden/cycle_equivalence.json``) holds small
+budgets' stats, and equals a run whose clock steps every cycle (the
+stepped-clock tests below check that the jumps change nothing).  To
+regenerate after an *intentional* model change::
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest \
         tests/test_cycle_equivalence.py -q
@@ -29,7 +29,7 @@ from pathlib import Path
 import pytest
 
 from repro.config import build_named_config
-from repro.core import simulate, simulate_cohort
+from repro.core import Processor, simulate, simulate_cohort
 from repro.workloads import workload_names
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "cycle_equivalence.json"
@@ -207,9 +207,10 @@ def test_port_graph_single_core_matches_golden(golden, config_name):
 # -- the wake-up-driven clock --------------------------------------------------
 #
 # A full window blocked behind an LLC miss (and any other stretch in which
-# no stage can act) costs one _step call, not one per cycle.  The cells
-# must still match the pinned reference, which was produced by stepping
-# such stretches cycle by cycle.
+# no stage can act) costs one _step call, not one per cycle.  Processor.
+# _wake_up alone decides every jump, so patching it to name the next cycle
+# steps every cycle; the stepped run must equal the jumped one field for
+# field, and so the pinned reference equals a stepped run.
 
 @pytest.mark.parametrize("config_name,max_share", (("baseline", 0.5),
                                                    ("hybrid", 0.75)))
@@ -228,6 +229,90 @@ def test_idle_stretches_cost_one_step(golden, config_name, max_share):
     cycles = result.stats.cycles
     assert steps <= max_share * cycles, (
         f"mcf/{config_name}: {steps} steps for {cycles} simulated cycles")
+
+
+# Branch-heavy workloads, whose idle stretches include fetch waiting on a
+# redirect, under configs covering each runahead mode; and memory-bound
+# ones under the buffer modes.
+BRANCH_HEAVY = ("astar", "bzip2", "gcc", "gobmk", "omnetpp", "perlbench",
+                "sjeng", "xalancbmk")
+STEPPED_CELLS = (
+    [(w, c) for w in BRANCH_HEAVY
+     for c in ("baseline", "runahead", "runahead_enh", "rab_cc_pf")]
+    + [(w, c) for w in ("mcf", "libquantum") for c in ("rab", "hybrid")])
+
+
+def _jumped_and_stepped(monkeypatch, run) -> tuple[dict, dict]:
+    """``run()``'s stats with the jumping clock, then with every processor
+    it builds stepping every cycle: ``_wake_up`` names the next cycle, and
+    a cycle hook checks that each step advances exactly one."""
+    jumped = run()
+    advances: list[int] = []
+    init = Processor.__init__
+
+    def init_and_hook(self, *args, **kwargs) -> None:
+        init(self, *args, **kwargs)
+        last = self.now
+
+        def record(proc) -> None:
+            nonlocal last
+            advances.append(proc.now - last)
+            last = proc.now
+
+        self.set_cycle_hook(record)
+
+    monkeypatch.setattr(Processor, "__init__", init_and_hook)
+    monkeypatch.setattr(Processor, "_wake_up", lambda self, now: now + 1)
+    stepped = run()
+    assert advances, "no step was recorded"
+    jumps = [a for a in advances if a != 1]
+    assert not jumps, (f"{len(jumps)} of {len(advances)} steps advanced "
+                       f"more than one cycle (largest {max(jumps)})")
+    return jumped, stepped
+
+
+def _assert_same_stats(jumped: dict, stepped: dict) -> None:
+    for name, stats in jumped.items():
+        assert stepped[name] == stats, (
+            name, sorted(k for k in stats if stepped[name][k] != stats[k]))
+
+
+@pytest.mark.parametrize("workload,config_name", STEPPED_CELLS)
+def test_stepped_clock_matches_jumped(monkeypatch, workload, config_name):
+    def run() -> dict:
+        return {config_name: simulate(
+            workload, build_named_config(config_name),
+            max_instructions=INSTRUCTIONS,
+            warmup_instructions=WARMUP).stats.to_dict()}
+
+    _assert_same_stats(*_jumped_and_stepped(monkeypatch, run))
+
+
+def test_stepped_clock_matches_jumped_cohort(monkeypatch):
+    configs = ("rab", "rab_cc", "hybrid")
+
+    def run() -> dict:
+        results, _runs = simulate_cohort(
+            "omnetpp", [build_named_config(c) for c in configs],
+            max_instructions=INSTRUCTIONS, warmup_instructions=WARMUP)
+        return {c: s.to_dict() for c, s in zip(configs, results)}
+
+    _assert_same_stats(*_jumped_and_stepped(monkeypatch, run))
+
+
+def test_stepped_clock_matches_jumped_multicore(monkeypatch):
+    from repro import simulate_multicore
+
+    def run() -> dict:
+        result = simulate_multicore(["omnetpp", "soplex"],
+                                    configs=["baseline", "hybrid"],
+                                    max_instructions=INSTRUCTIONS,
+                                    warmup_instructions=WARMUP)
+        cores = {f"core {i}": s.to_dict()
+                 for i, s in enumerate(result.per_core)}
+        return {**cores, "shared": result.shared}
+
+    _assert_same_stats(*_jumped_and_stepped(monkeypatch, run))
 
 
 def test_golden_covers_full_grid(golden):

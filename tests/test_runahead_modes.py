@@ -117,6 +117,32 @@ class TestRunaheadBuffer:
         # The paper's headline: the buffer runs further ahead.
         assert rab.misses_per_interval > ra.misses_per_interval
 
+    def test_rab_iterations_counts_every_interval(self):
+        """rab_iterations is the run's total: the sum over every buffer
+        interval of the chain-loop iterations it started, counted here
+        from the uops each interval took and its chain's length."""
+        per_interval = []   # [chain length, uops taken] per interval
+
+        def count_takes(proc):
+            rab = proc.rab
+            load_chain, take = rab.load_chain, rab.take
+
+            def counted_load(chain):
+                load_chain(chain)
+                per_interval.append([len(chain), 0])
+
+            def counted_take():
+                per_interval[-1][1] += 1
+                return take()
+
+            rab.load_chain, rab.take = counted_load, counted_take
+
+        _, stats = run_mode(gather_workload, RunaheadMode.BUFFER,
+                            attach=count_takes)
+        iterations = [-(-taken // length) for length, taken in per_interval]
+        assert len(iterations) == stats.rab_intervals > 1
+        assert stats.rab_iterations == sum(iterations) > max(iterations)
+
     def test_frontend_gated_in_buffer_mode(self):
         _, rab = run_mode(gather_workload, RunaheadMode.BUFFER)
         assert rab.cycles_in_rab > 0

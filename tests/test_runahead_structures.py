@@ -131,6 +131,16 @@ class TestRunaheadBuffer:
         assert out == expected
         assert rab.iterations_started == 3
 
+    def test_iterations_accumulate_across_chains(self):
+        rab = RunaheadBuffer(capacity_uops=8)
+        rab.load_chain(chain_of(3))
+        for _ in range(7):
+            rab.take()
+        rab.load_chain(chain_of(2))
+        for _ in range(3):
+            rab.take()
+        assert rab.iterations_started == 3 + 2
+
     def test_peek_does_not_advance(self):
         rab = RunaheadBuffer()
         rab.load_chain(chain_of(2))
